@@ -271,27 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap the indexed ceiling (default: index to exhaustion; "
         "queries above a capped ceiling fall back to live enumeration)",
     )
-    build.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="partition the index into N shards by connected component "
-        "of the shard-k-core and write a repro.kvcc-shards/1 manifest "
-        "plus per-shard index files (see docs/scaling.md); default: one "
-        "monolithic repro.kvcc-index/1 file",
-    )
-    build.add_argument(
-        "--shard-k",
-        type=int,
-        default=2,
-        help="sharding core level: a k-VCC with k >= shard-k never "
-        "spans two connected components of the shard-k-core, so those "
-        "components are the shard key; levels below it live in a small "
-        "global residual index (default 2)",
-    )
     inspect = index_sub.add_parser(
-        "inspect", help="describe a saved index or shard-manifest file"
+        "inspect", help="describe a saved index file"
     )
     inspect.add_argument("path", help="an index file from `ripple index build`")
 
@@ -316,38 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on TCP instead of stdio (PORT 0 picks a free port)",
     )
     serve.add_argument(
-        "--backend",
-        choices=("thread", "aio"),
-        default="thread",
-        help="TCP server backend: 'thread' (one thread per connection) "
-        "or 'aio' (asyncio event loop multiplexing every connection, "
-        "CPU work on a bounded executor; see docs/scaling.md)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve through a scatter-gather ShardRouter over N k-core "
-        "shards instead of one monolithic engine (built at startup "
-        "unless --index names a repro.kvcc-shards/1 manifest)",
-    )
-    serve.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="read replicas per shard — independent engines with "
-        "private caches, round-robin selection, and failover "
-        "(default 1; implies the ShardRouter when > 1)",
-    )
-    serve.add_argument(
-        "--shard-k",
-        type=int,
-        default=2,
-        help="core level of the shard key when sharding at startup "
-        "(see `ripple index build --shard-k`; default 2)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=4,
@@ -366,14 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="TCP: bound on requests waiting for a worker before the "
         "daemon sheds with an 'overloaded' error (default 32)",
-    )
-    serve.add_argument(
-        "--shed-policy",
-        choices=("bounded", "strict", "block"),
-        default="bounded",
-        help="TCP admission policy: bounded queueing (default), "
-        "strict (shed whenever all workers are busy), or block "
-        "(legacy unbounded queueing, never sheds)",
     )
     serve.add_argument(
         "--cache-size",
@@ -493,31 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
         "overloaded/garbage/dropped responses with jittered backoff)",
     )
     loadtest.add_argument(
-        "--backend", choices=("thread", "aio"), default="thread",
-        help="daemon backend to spawn (see `serve --backend`; "
-        "default thread)",
-    )
-    loadtest.add_argument(
-        "--daemon-shards", type=int, metavar="N",
-        help="spawn the daemon with `--shards N` (scatter-gather "
-        "router over k-core shards)",
-    )
-    loadtest.add_argument(
-        "--daemon-replicas", type=int,
-        help="spawn the daemon with `--replicas N` (read replicas "
-        "per shard)",
-    )
-    loadtest.add_argument(
         "--daemon-workers", type=int, default=4,
         help="daemon-side concurrent request cap (default 4)",
     )
     loadtest.add_argument(
         "--daemon-max-queue", type=int,
         help="daemon-side admission queue bound (see `serve --max-queue`)",
-    )
-    loadtest.add_argument(
-        "--daemon-shed-policy", choices=("bounded", "strict", "block"),
-        help="daemon-side shed policy (see `serve --shed-policy`)",
     )
     loadtest.add_argument(
         "--request-timeout", type=float, metavar="SECONDS",
@@ -714,84 +636,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sniff_shard_manifest(path: str) -> bool:
-    """True when ``path`` holds a ``repro.kvcc-shards/1`` manifest
-    (cheap schema peek; corrupt files sniff False and fail later with
-    the proper quarantine path)."""
-    import json as _json
-    import os as _os
-
-    if not _os.path.exists(path):
-        return False
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = _json.loads(handle.read(1 << 20))
-        return payload.get("schema") == "repro.kvcc-shards/1"
-    except (OSError, ValueError, AttributeError):
-        return False
-
-
 def _cmd_index(args: argparse.Namespace) -> int:
     from repro.serving import KvccIndex
 
     if args.index_command == "build":
         graph = read_edge_list(args.path, allow_self_loops=True)
-        if args.shards:
-            from repro.serving.shard import ShardSet
-
-            shard_set = ShardSet.build(
-                graph, args.shards, shard_k=args.shard_k, max_k=args.max_k
-            )
-            shard_set.save(args.output)
-            sizes = ", ".join(
-                str(shard.num_vertices) for shard in shard_set.shards
-            )
-            print(
-                f"shard manifest saved to {args.output}: "
-                f"{shard_set.num_shards} shard(s) of [{sizes}] vertices "
-                f"at shard-k {shard_set.shard_k}, residual ceiling "
-                f"k={shard_set.residual.ceiling}, global ceiling "
-                f"k={shard_set.ceiling}"
-            )
-            return 0
         index = KvccIndex.build(graph, max_k=args.max_k)
         index.save(args.output)
         print(
             f"index saved to {args.output}: {index.num_vertices} vertices, "
             f"{index.num_edges} edges, ceiling k={index.ceiling} "
             f"({'complete' if index.complete else f'capped at {index.max_k}'})"
-        )
-        return 0
-    if _sniff_shard_manifest(args.path):
-        from repro.serving.shard import ShardSet
-
-        shard_set = ShardSet.load(args.path)
-        print(
-            f"{args.path}: repro.kvcc-shards/1, fingerprint "
-            f"{shard_set.fingerprint[:16]}…"
-        )
-        print(
-            f"graph: {shard_set.num_vertices} vertices, "
-            f"{shard_set.num_edges} edges; shard-k {shard_set.shard_k}, "
-            f"global ceiling k={shard_set.ceiling}, residual ceiling "
-            f"k={shard_set.residual.ceiling}"
-        )
-        rows = [
-            [
-                shard_id,
-                shard.num_vertices,
-                shard.num_edges,
-                shard.ceiling,
-                shard.fingerprint[:16] + "…",
-            ]
-            for shard_id, shard in enumerate(shard_set.shards)
-        ]
-        print(
-            reporting.render_table(
-                "Shards",
-                ["shard", "vertices", "edges", "ceiling", "fingerprint"],
-                rows,
-            )
         )
         return 0
     index = KvccIndex.load(args.path)
@@ -834,9 +689,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeSettings,
         serve_stdio,
         serve_tcp,
-        serve_tcp_aio,
     )
-    from repro.serving.shard import ShardRouter, ShardSet
 
     graph = (
         read_edge_list(args.graph, allow_self_loops=True)
@@ -844,14 +697,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else None
     )
     index = None
-    shard_set = None
     if args.index:
         if os.path.exists(args.index):
             try:
-                if _sniff_shard_manifest(args.index):
-                    shard_set = ShardSet.load(args.index)
-                else:
-                    index = KvccIndex.load(args.index)
+                index = KvccIndex.load(args.index)
             except IndexCorruptionError as exc:
                 if graph is None:
                     print(f"error: {exc}", file=sys.stderr)
@@ -874,49 +723,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"build-on-first-use from {args.graph}",
                 file=sys.stderr,
             )
-    if graph is None and index is None and shard_set is None:
+    if graph is None and index is None:
         print("error: serve needs --graph, --index, or both", file=sys.stderr)
         return EXIT_ERROR
-    use_router = (
-        shard_set is not None
-        or (args.shards or 0) > 0
-        or args.replicas > 1
+    engine = QueryEngine(
+        graph, index, cache_size=args.cache_size, max_k=args.max_k
     )
-    if use_router:
-        if shard_set is None and graph is None:
-            print(
-                "error: --shards/--replicas need a shard manifest "
-                "(`ripple index build --shards N`) via --index, or "
-                "--graph to shard at startup",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        engine = ShardRouter(
-            shard_set,
-            graph=graph,
-            shards=args.shards or 1,
-            replicas=args.replicas,
-            shard_k=args.shard_k,
-            max_k=args.max_k,
-            cache_size=args.cache_size,
-        )
-        stats = engine.stats()["router"]
-        print(
-            f"ripple serve: scatter-gather router — "
-            f"{stats['shards']} shard(s) × {stats['replicas']} "
-            f"replica(s), shard-k {stats['shard_k']}",
-            file=sys.stderr,
-            flush=True,
-        )
-    else:
-        engine = QueryEngine(
-            graph, index, cache_size=args.cache_size, max_k=args.max_k
-        )
     settings = ServeSettings(
         request_timeout=args.request_timeout,
         workers=args.workers,
         max_queue=args.max_queue,
-        shed_policy=args.shed_policy,
         access_log=args.access_log,
         # The reload op re-reads the served file, so a load-test (or
         # operator) can mutate the graph on disk and storm the stale
@@ -948,10 +764,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_ERROR
-            serve_backend = (
-                serve_tcp_aio if args.backend == "aio" else serve_tcp
-            )
-            handle = serve_backend(
+            handle = serve_tcp(
                 engine,
                 settings,
                 host=host or "127.0.0.1",
@@ -987,12 +800,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     metrics.stop()
                 handle.stop()
             return 0
-        if args.backend != "thread":
-            print(
-                "note: --backend applies to --tcp only; stdio always "
-                "serves one in-order session",
-                file=sys.stderr,
-            )
         metrics = None
         if args.metrics_port is not None:
             metrics = MetricsServer(
@@ -1093,12 +900,8 @@ def _cmd_loadtest(args: argparse.Namespace, runinfo: dict) -> int:
             calibration_s=calibration_s,
             deadline=deadline,
             daemon_max_queue=args.daemon_max_queue,
-            daemon_shed_policy=args.daemon_shed_policy,
             daemon_access_log=args.daemon_access_log,
             daemon_metrics_port=args.daemon_metrics_port,
-            daemon_backend=args.backend,
-            daemon_shards=args.daemon_shards,
-            daemon_replicas=args.daemon_replicas,
         )
         rows.extend(outcome.rows)
         for repetition, samples in sorted(outcome.samples.items()):

@@ -33,6 +33,7 @@ from repro.graph.generators import (
     planted_kvcc_graph,
     powerlaw_cluster_graph,
 )
+from repro.graph.io import coerce_label
 from repro.graph.kcore import k_core
 
 __all__ = [
@@ -282,15 +283,6 @@ DATASETS: dict[str, Dataset] = {
 # deduplicated pair list that the CSR builder keeps anyway.
 
 
-def _coerce_label(token: str) -> Hashable:
-    """Integer labels stay ``int`` (the common SNAP case); anything
-    else is kept as the raw string."""
-    try:
-        return int(token)
-    except ValueError:
-        return token
-
-
 def stream_snap_edges(
     lines: Iterable[str], source: str | None = None
 ) -> Iterator[tuple[Hashable, Hashable]]:
@@ -315,7 +307,7 @@ def stream_snap_edges(
                 source=source,
                 lineno=lineno,
             )
-        yield _coerce_label(parts[0]), _coerce_label(parts[1])
+        yield coerce_label(parts[0]), coerce_label(parts[1])
 
 
 def load_snap_edge_list(path: str) -> CsrGraph:

@@ -21,7 +21,12 @@ from collections.abc import Iterable
 from repro.errors import GraphError, GraphFormatError
 from repro.graph.adjacency import Graph
 
-__all__ = ["read_edge_list", "write_edge_list", "parse_edge_list"]
+__all__ = [
+    "coerce_label",
+    "parse_edge_list",
+    "read_edge_list",
+    "write_edge_list",
+]
 
 
 def parse_edge_list(
@@ -36,8 +41,9 @@ def parse_edge_list(
     Lines that are blank or start with ``#`` / ``%`` are skipped; a line
     with a single token declares an isolated vertex. Vertex labels that
     look like integers are stored as ``int``; anything else stays a
-    string. With ``allow_self_loops`` set, self-loop lines are silently
-    dropped instead of raising (some public datasets contain them).
+    string (see :func:`coerce_label`). With ``allow_self_loops`` set,
+    self-loop lines are silently dropped instead of raising (some
+    public datasets contain them).
 
     ``strict`` rejects anything but two integer tokens per data line
     (truncated lines, trailing weight columns, non-integer labels).
@@ -81,21 +87,33 @@ def parse_edge_list(
     return graph
 
 
+def coerce_label(token: str) -> int | str:
+    """An ASCII ``-?[0-9]+`` token as ``int``, anything else unchanged.
+
+    Python's ``int()`` also accepts ``1_0``, ``+3`` and non-ASCII
+    digits, which would merge distinct labels (``"1_0"`` and ``10``)
+    into one vertex. Leading zeros still collapse (``007`` is 7).
+    """
+    if token.isdigit() and token.isascii():
+        return int(token)
+    if token[:1] == "-" and token[1:].isdigit() and token.isascii():
+        return int(token)
+    return token
+
+
 def _coerce(token: str, strict: bool, source: str | None, lineno: int):
-    """Interpret a vertex token as int when possible, else keep the string.
+    """Interpret a vertex token via :func:`coerce_label`.
 
     In strict mode a non-integer token is a format error instead.
     """
-    try:
-        return int(token)
-    except ValueError:
-        if strict:
-            raise GraphFormatError(
-                f"non-integer vertex token {token!r}",
-                source=source,
-                lineno=lineno,
-            ) from None
-        return token
+    label = coerce_label(token)
+    if strict and not isinstance(label, int):
+        raise GraphFormatError(
+            f"non-integer vertex token {token!r}",
+            source=source,
+            lineno=lineno,
+        )
+    return label
 
 
 def read_edge_list(

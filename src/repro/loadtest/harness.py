@@ -75,29 +75,19 @@ class DaemonProcess:
         cache_size: int = 1024,
         max_k: int | None = None,
         max_queue: int | None = None,
-        shed_policy: str | None = None,
         access_log: str | os.PathLike | None = None,
         metrics_port: int | None = None,
         extra_env: dict[str, str] | None = None,
-        backend: str | None = None,
-        shards: int | None = None,
-        replicas: int | None = None,
     ) -> None:
         self.graph_path = os.fspath(graph_path)
         self.index_path = (
             os.fspath(index_path) if index_path is not None else None
         )
-        #: Daemon backend (``serve --backend``): "thread", "aio", or
-        #: None for the CLI default.
-        self.backend = backend
-        self.shards = shards
-        self.replicas = replicas
         self.workers = workers
         self.request_timeout = request_timeout
         self.cache_size = cache_size
         self.max_k = max_k
         self.max_queue = max_queue
-        self.shed_policy = shed_policy
         self.access_log = (
             os.fspath(access_log) if access_log is not None else None
         )
@@ -142,20 +132,12 @@ class DaemonProcess:
         ]
         if self.index_path is not None:
             command += ["--index", self.index_path]
-        if self.backend is not None:
-            command += ["--backend", self.backend]
-        if self.shards is not None:
-            command += ["--shards", str(self.shards)]
-        if self.replicas is not None:
-            command += ["--replicas", str(self.replicas)]
         if self.request_timeout is not None:
             command += ["--request-timeout", str(self.request_timeout)]
         if self.max_k is not None:
             command += ["--max-k", str(self.max_k)]
         if self.max_queue is not None:
             command += ["--max-queue", str(self.max_queue)]
-        if self.shed_policy is not None:
-            command += ["--shed-policy", self.shed_policy]
         if self.access_log is not None:
             command += ["--access-log", self.access_log]
         if self.metrics_port is not None:
@@ -321,13 +303,9 @@ def run_scenario(
     address: tuple[str, int] | None = None,
     monitor_pid: int | None = None,
     daemon_max_queue: int | None = None,
-    daemon_shed_policy: str | None = None,
     daemon_access_log: str | os.PathLike | None = None,
     daemon_metrics_port: int | None = None,
     daemon_env: dict[str, str] | None = None,
-    daemon_backend: str | None = None,
-    daemon_shards: int | None = None,
-    daemon_replicas: int | None = None,
 ) -> RunOutcome:
     """Run every repetition of one scenario; returns rows + raw samples.
 
@@ -338,8 +316,8 @@ def run_scenario(
     pair it with ``monitor_pid`` to keep CPU/RSS columns (use
     ``os.getpid()`` for an in-process ``serve_tcp``).
 
-    ``daemon_max_queue``/``daemon_shed_policy`` forward to the spawned
-    daemon's admission controller; ``daemon_access_log`` and
+    ``daemon_max_queue`` forwards to the spawned daemon's admission
+    controller; ``daemon_access_log`` and
     ``daemon_metrics_port`` forward the telemetry flags (the access
     log is opened in append mode, so every repetition's fresh daemon
     extends the same JSONL; both are ignored when driving an external
@@ -348,9 +326,7 @@ def run_scenario(
     each repetition's fresh daemon re-arms the plan from scratch). A
     spawned daemon that *dies* mid-run raises :class:`LoadTestError`
     with its stderr tail: a crashed daemon is never reported as an
-    ordinary slow run. ``daemon_backend``/``daemon_shards``/
-    ``daemon_replicas`` forward ``serve --backend/--shards/--replicas``
-    so the same scenario can gate both backends, sharded or not.
+    ordinary slow run.
     """
     graph_path = os.fspath(graph_path)
     if calibration_s is None:
@@ -383,13 +359,9 @@ def run_scenario(
                     request_timeout=request_timeout,
                     max_k=scenario.max_k,
                     max_queue=daemon_max_queue,
-                    shed_policy=daemon_shed_policy,
                     access_log=daemon_access_log,
                     metrics_port=daemon_metrics_port,
                     extra_env=daemon_env,
-                    backend=daemon_backend,
-                    shards=daemon_shards,
-                    replicas=daemon_replicas,
                 )
                 target = daemon.start()
                 pid = daemon.pid

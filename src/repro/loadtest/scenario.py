@@ -188,26 +188,6 @@ SCENARIOS = {
             workers=16,
             retry_budget=3,
         ),
-        # The shard-router scenario: the smoke mix leaning on batches
-        # and scans — the shapes that exercise the router's scatter-
-        # gather fan-out — at a modest rate. Run it against a sharded
-        # daemon (`--daemon-shards N --daemon-replicas M`, either
-        # backend) to measure routing overhead vs the monolithic
-        # engine under the same schedule.
-        Scenario(
-            "sharded",
-            (
-                ("point", 0.50),
-                ("batch", 0.30),
-                ("scan", 0.15),
-                ("unknown", 0.05),
-            ),
-            offered_rps=40.0,
-            duration_s=3.0,
-            warmup_s=0.75,
-            workers=4,
-            repetitions=2,
-        ),
         # The chaos-smoke scenario: the smoke mix (minus storms) with
         # a retry budget, run under injected serving faults in CI —
         # crashed sessions and garbage responses must be absorbed by

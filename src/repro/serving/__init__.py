@@ -12,14 +12,6 @@ three layers (see ``docs/serving.md`` and ``docs/architecture.md``):
 * :mod:`repro.serving.daemon` + :mod:`repro.serving.protocol` — the
   ``ripple serve`` daemon speaking line-delimited JSON over stdio or
   TCP, with per-request :class:`~repro.resilience.Deadline` budgets;
-* :mod:`repro.serving.aio` — the ``asyncio`` backend of the same
-  daemon: every connection multiplexed onto one event loop, admission
-  decided inline, CPU work on bounded executors
-  (``ripple serve --backend aio``);
-* :mod:`repro.serving.shard` — scale-out: :class:`ShardSet` partitions
-  the index by connected component of the shard-k-core (a k-VCC never
-  spans two), :class:`ShardRouter` scatter-gathers queries over the
-  shards with N read replicas each (see ``docs/scaling.md``);
 * :mod:`repro.serving.admission` — :class:`AdmissionController`:
   bounded admission with per-cost-class queues and explicit load
   shedding (the ``overloaded`` protocol error);
@@ -43,7 +35,6 @@ Quickstart::
 
 from repro.serving.accesslog import AccessLog
 from repro.serving.admission import AdmissionController
-from repro.serving.aio import AioServerHandle, serve_tcp_aio
 from repro.serving.daemon import (
     ServeSettings,
     TcpServerHandle,
@@ -69,12 +60,10 @@ from repro.serving.protocol import (
     handle_line,
     handle_request,
 )
-from repro.serving.shard import SHARD_SCHEMA, ShardRouter, ShardSet
 
 __all__ = [
     "AccessLog",
     "AdmissionController",
-    "AioServerHandle",
     "BatchDeadlineExpired",
     "INDEX_SCHEMA",
     "KvccIndex",
@@ -83,11 +72,8 @@ __all__ = [
     "PROTOCOL",
     "QueryEngine",
     "QueryResult",
-    "SHARD_SCHEMA",
     "ServeSettings",
     "ServerContext",
-    "ShardRouter",
-    "ShardSet",
     "TcpServerHandle",
     "error_line",
     "graph_fingerprint",
@@ -96,6 +82,5 @@ __all__ = [
     "render_prometheus",
     "serve_stdio",
     "serve_tcp",
-    "serve_tcp_aio",
     "validate_exposition",
 ]

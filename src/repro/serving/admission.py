@@ -34,17 +34,6 @@ Cost classes (derived from the decoded request, see
 ``ping``/``stats``/``shutdown`` are control-plane ops and bypass
 admission entirely (an operator must be able to ask an overloaded
 daemon for its stats).
-
-Shed policies (``--shed-policy``):
-
-``bounded``
-    The default described above.
-``strict``
-    No waiting at all: shed whenever every worker is busy
-    (``max_queue`` is treated as 0).
-``block``
-    The legacy semaphore behaviour: never shed, queue without bound.
-    Kept for A/B comparison against the PR-6 baseline.
 """
 
 from __future__ import annotations
@@ -59,12 +48,10 @@ __all__ = [
     "AdmissionController",
     "AdmissionTicket",
     "COST_CLASSES",
-    "SHED_POLICIES",
     "cost_class",
 ]
 
 COST_CLASSES = ("point", "batch", "scan", "reload")
-SHED_POLICIES = ("bounded", "strict", "block")
 
 #: Fallback per-request service-time guess (seconds) before the first
 #: completion of a class has seeded its EWMA.
@@ -153,22 +140,6 @@ class AdmissionTicket:
         self.release()
 
 
-class _WaitReservation:
-    """A reserved (but not yet redeemed) queue slot.
-
-    Returned by :meth:`AdmissionController.admit_nowait` when the
-    request must wait: the waiter count was already incremented under
-    the admission lock, so the shed bound holds even before anyone
-    blocks. Redeem with :meth:`AdmissionController.finish_wait` on
-    whichever thread may block."""
-
-    __slots__ = ("klass", "queued_at")
-
-    def __init__(self, klass: str, queued_at: float) -> None:
-        self.klass = klass
-        self.queued_at = queued_at
-
-
 class AdmissionController:
     """Bounded admission with per-class queue partitions (module doc)."""
 
@@ -177,20 +148,13 @@ class AdmissionController:
         *,
         workers: int = 4,
         max_queue: int = 32,
-        shed_policy: str = "bounded",
     ) -> None:
         if workers < 1:
             raise ParameterError(f"workers must be >= 1, got {workers}")
         if max_queue < 0:
             raise ParameterError(f"max_queue must be >= 0, got {max_queue}")
-        if shed_policy not in SHED_POLICIES:
-            raise ParameterError(
-                f"shed_policy must be one of {SHED_POLICIES}, "
-                f"got {shed_policy!r}"
-            )
         self.workers = workers
-        self.max_queue = 0 if shed_policy == "strict" else max_queue
-        self.shed_policy = shed_policy
+        self.max_queue = max_queue
         self._lock = threading.Lock()
         self._slots_free = workers
         self._waiters: dict[str, int] = dict.fromkeys(COST_CLASSES, 0)
@@ -214,27 +178,7 @@ class AdmissionController:
 
         Admission may block while the request holds a (bounded) queue
         slot; by construction at most ``max_queue`` requests are ever
-        blocked here. ``block`` policy never sheds.
-        """
-        outcome = self.admit_nowait(klass)
-        if isinstance(outcome, _WaitReservation):
-            return self.finish_wait(outcome)
-        return outcome
-
-    def admit_nowait(
-        self, klass: str
-    ) -> "AdmissionTicket | _WaitReservation | None":
-        """The non-blocking admission decision, in one lock hold.
-
-        Three outcomes: an :class:`AdmissionTicket` (a worker slot was
-        free — admitted immediately), ``None`` (shed: the queue bound
-        or the class cap is full), or a :class:`_WaitReservation` — a
-        *reserved queue slot* the caller must redeem with
-        :meth:`finish_wait` (which blocks) or nothing holds it open.
-        The split lets an event loop decide admission inline and park
-        only the genuinely-queued requests on waiter threads; blocking
-        callers use :meth:`admit`, which composes the two with
-        identical counter behaviour.
+        blocked here.
         """
         if klass not in COST_CLASSES:
             raise ParameterError(
@@ -248,30 +192,16 @@ class AdmissionController:
                 obs.count("serving.admitted")
                 obs.observe(f"serving.queue_wait_seconds.{klass}", 0.0)
                 return AdmissionTicket(self, klass)
-            if self.shed_policy != "block":
-                total_waiting = sum(self._waiters.values())
-                if (
-                    total_waiting >= self.max_queue
-                    or self._waiters[klass] >= self._class_caps[klass]
-                ):
-                    obs.count("serving.shed")
-                    obs.count(f"serving.shed.{klass}")
-                    return None
-            # Reserve the waiter slot *now*, under this same lock hold,
-            # so concurrent admit_nowait calls see the queue fill up —
-            # the shed bound stays exact even when redeeming happens on
-            # another thread later.
+            total_waiting = sum(self._waiters.values())
+            if (
+                total_waiting >= self.max_queue
+                or self._waiters[klass] >= self._class_caps[klass]
+            ):
+                obs.count("serving.shed")
+                obs.count(f"serving.shed.{klass}")
+                return None
+            queued_at = time.monotonic()
             self._waiters[klass] += 1
-            return _WaitReservation(klass, time.monotonic())
-
-    def finish_wait(
-        self, reservation: "_WaitReservation"
-    ) -> AdmissionTicket:
-        """Redeem a :class:`_WaitReservation`: block until a worker slot
-        frees, then return the ticket. Must be called exactly once per
-        reservation (it releases the reserved waiter slot)."""
-        klass = reservation.klass
-        with self._condition:
             try:
                 while self._slots_free <= 0:
                     self._condition.wait()
@@ -281,7 +211,7 @@ class AdmissionController:
             self._in_service[klass] += 1
             obs.count("serving.admitted")
             obs.count("serving.admitted.queued")
-            waited_s = time.monotonic() - reservation.queued_at
+            waited_s = time.monotonic() - queued_at
             obs.observe(f"serving.queue_wait_seconds.{klass}", waited_s)
             return AdmissionTicket(self, klass, queued_s=waited_s)
 
@@ -324,7 +254,6 @@ class AdmissionController:
             return {
                 "workers": self.workers,
                 "max_queue": self.max_queue,
-                "shed_policy": self.shed_policy,
                 "slots_free": self._slots_free,
                 "in_service": dict(self._in_service),
                 "waiting": dict(self._waiters),

@@ -62,9 +62,6 @@ class ServeSettings:
     #: Bound on requests *waiting* for a worker before the daemon
     #: starts shedding (TCP only; see AdmissionController).
     max_queue: int = 32
-    #: ``bounded`` (default), ``strict`` (no waiting), or ``block``
-    #: (legacy unbounded queueing — never sheds).
-    shed_policy: str = "bounded"
     #: Longest accepted request line; anything longer is drained and
     #: answered with ``bad-request``.
     max_line_bytes: int = 1 << 20
@@ -151,7 +148,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         server: _TcpServer = self.server  # type: ignore[assignment]
-        server.register_session(threading.current_thread(), self.connection)
         obs.set_collector(server.collector)
         obs.count("serving.sessions")
         limit = server.settings.max_line_bytes
@@ -213,7 +209,6 @@ class _TcpServer(socketserver.ThreadingTCPServer):
         self.admission = AdmissionController(
             workers=max(1, settings.workers),
             max_queue=settings.max_queue,
-            shed_policy=settings.shed_policy,
         )
         # Handler threads inherit the collector active at server
         # creation: counters from concurrent sessions all land in the
@@ -227,6 +222,17 @@ class _TcpServer(socketserver.ThreadingTCPServer):
         self.draining = threading.Event()
         self._sessions_lock = threading.Lock()
         self._sessions: dict[threading.Thread, object] = {}
+
+    def process_request(self, request, client_address) -> None:
+        # Register before the thread starts, so a stop() racing this
+        # accept still sees the session it has to drain or close.
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=True,
+        )
+        self.register_session(thread, request)
+        thread.start()
 
     def register_session(self, thread, connection) -> None:
         with self._sessions_lock:
@@ -282,6 +288,16 @@ class TcpServerHandle:
         self._server.draining.set()
         self._server.shutdown()  # acceptor loop exits; no new sessions
         deadline = time.monotonic() + max(0.0, drain_timeout)
+        # The acceptor can exit with connections the kernel already
+        # completed still queued on the listener; closing it would
+        # reset their clients with requests unanswered.
+        try:
+            self._server.socket.setblocking(False)
+            while time.monotonic() < deadline:
+                request, client_address = self._server.get_request()
+                self._server.process_request(request, client_address)
+        except OSError:
+            pass  # backlog empty, or the listener is already closed
         for thread, _ in self._server.live_sessions():
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
         for thread, connection in self._server.live_sessions():
@@ -297,10 +313,6 @@ class TcpServerHandle:
         self._thread.join(timeout=5)
         if self._server.context.access_log is not None:
             self._server.context.access_log.close()
-
-    def shutdown(self) -> None:
-        """Alias for :meth:`stop` (kept for existing callers)."""
-        self.stop()
 
     def __enter__(self) -> "TcpServerHandle":
         return self

@@ -130,13 +130,6 @@ class LRUCache:
         with self._lock:
             self._data.clear()
 
-    def snapshot_keys(self) -> list:
-        """The cached keys, most-recently-used first — the working set
-        a reload's warm-cache handoff re-primes (values are *not*
-        copied: post-reload answers must come from the new index)."""
-        with self._lock:
-            return list(reversed(self._data.keys()))
-
 
 class QueryEngine:
     """Answers single and batched QkVCS queries from an index + cache.
@@ -209,6 +202,11 @@ class QueryEngine:
         fresh index (or a freshly copied graph) instead of mutating
         underneath it.
         """
+        return self._generation()[0]
+
+    def _generation(self) -> tuple[KvccIndex, int]:
+        """The index (as :meth:`ensure_index`) with its version, read in
+        the same lock hold so the pair always names one generation."""
         with self._lock:
             if self._index is not None and self._graph is not None:
                 probe = (self._graph.num_vertices, self._graph.num_edges)
@@ -228,7 +226,7 @@ class QueryEngine:
                     self._graph.num_vertices,
                     self._graph.num_edges,
                 )
-            return self._index
+            return self._index, self._version
 
     def reload(self, graph: Graph) -> None:
         """Adopt a fresh copy of the served graph (e.g. re-read from disk).
@@ -300,14 +298,17 @@ class QueryEngine:
         # time for calibrated-overload runs), other modes raise
         # FaultInjected and surface as an `internal` protocol error.
         chaos.fire("engine.resolve", request_id=request_id)
+        # Entries are tagged with the generation that resolved them: a
+        # reload landing between a resolve and its cache put clears the
+        # cache first, so the put would otherwise outlive the swap.
         cached = self._cache.get((vertex, k))
-        if cached is not None:
+        if cached is not None and cached[0] == self._version:
             obs.count("serving.cache.hits")
             obs.observe(
                 "serving.resolve_seconds.cache",
                 time.perf_counter() - resolve_started,
             )
-            return QueryResult(vertex, k, cached, "cache")
+            return QueryResult(vertex, k, cached[1], "cache")
         obs.count("serving.cache.misses")
         if deadline is not None and deadline.expired():
             raise BatchDeadlineExpired([], 1)
@@ -315,7 +316,7 @@ class QueryEngine:
         if request_id is not None:
             span_attrs["request_id"] = request_id
         with obs.start_span("serving.query", **span_attrs):
-            index = self.ensure_index()
+            index, version = self._generation()
             if vertex not in index:
                 raise ParameterError(
                     f"vertex {vertex!r} not in the served graph"
@@ -327,7 +328,7 @@ class QueryEngine:
             else:
                 components = self._live_fallback(vertex, k)
                 source = "live"
-        self._cache.put((vertex, k), components)
+        self._cache.put((vertex, k), (version, components))
         obs.observe(
             f"serving.resolve_seconds.{source}",
             time.perf_counter() - resolve_started,

@@ -60,7 +60,6 @@ HISTOGRAM_FAMILIES = {
     "serving.queue_wait_seconds": "class",
     "serving.service_seconds": "class",
     "serving.resolve_seconds": "tier",
-    "serving.shard.handle_seconds": "shard",
 }
 
 #: Exposition bucket edges: every 4th internal bound (the exact powers

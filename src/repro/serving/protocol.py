@@ -379,10 +379,6 @@ def _stats_response(
             "in_service": admission_stats["in_service"],
             "slots_free": admission_stats["slots_free"],
         }
-    if stats.get("shards"):
-        # A ShardRouter is serving: surface its per-shard gauge rows
-        # (queue depth, in-service, p95) for `ripple top` and dashboards.
-        gauges["shards"] = stats["shards"]
     response = {
         "ok": True,
         "op": "stats",

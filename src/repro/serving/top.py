@@ -107,21 +107,6 @@ def delta_frame(
         frame["handle_p50_ms"] = round(handle.quantile(0.50) * 1000.0, 3)
         frame["handle_p95_ms"] = round(handle.quantile(0.95) * 1000.0, 3)
         frame["handle_p99_ms"] = round(handle.quantile(0.99) * 1000.0, 3)
-    shards = current.get("gauges", {}).get("shards")
-    if shards:
-        # A ShardRouter is serving: keep its per-shard gauge rows
-        # (queue depth, in-service, replica health, p95) for display.
-        frame["shards"] = [
-            {
-                "shard": row.get("shard"),
-                "queue_depth": row.get("queue_depth", 0),
-                "in_service": row.get("in_service", 0),
-                "replicas_up": row.get("replicas_up"),
-                "replicas": row.get("replicas"),
-                "p95_ms": row.get("p95_ms"),
-            }
-            for row in shards
-        ]
     return frame
 
 
@@ -154,19 +139,6 @@ def render_frame(frame: dict, address: tuple[str, int]) -> str:
         if count
     )
     lines.append(f"  queue depth by class: {per_class or '(all idle)'}")
-    for row in frame.get("shards", ()):
-        p95 = row.get("p95_ms")
-        p95_text = f"{p95:>8.3f}" if p95 is not None else "       -"
-        replicas = (
-            f"{row['replicas_up']}/{row['replicas']}"
-            if row.get("replicas") is not None
-            else "?"
-        )
-        lines.append(
-            f"  shard {row['shard']:>3}  queued {row['queue_depth']:>4}"
-            f"   busy {row['in_service']:>4}   replicas {replicas}"
-            f"   p95 ms {p95_text}"
-        )
     return "\n".join(lines)
 
 

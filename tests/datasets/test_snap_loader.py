@@ -43,6 +43,10 @@ class TestStreamSnapEdges:
         pairs = list(stream_snap_edges(["a b", "b 3"]))
         assert pairs == [("a", "b"), ("b", 3)]
 
+    def test_only_ascii_integer_tokens_become_ints(self):
+        pairs = list(stream_snap_edges(["1_0 10", "+3 \u0663", "-05 007"]))
+        assert pairs == [("1_0", 10), ("+3", "\u0663"), (-5, 7)]
+
     def test_single_token_line_rejected_with_lineno(self):
         with pytest.raises(GraphFormatError) as excinfo:
             list(stream_snap_edges(["0 1", "lonely"], source="x.txt"))

@@ -34,6 +34,15 @@ class TestParse:
         g = parse_edge_list(["007 42"])
         assert g.has_edge(7, 42)
 
+    def test_only_ascii_integer_tokens_become_ints(self):
+        # int() also takes "1_0", "+3" and non-ASCII digits; each of
+        # those would merge with a distinct integer label.
+        g = parse_edge_list(["1_0 10", "+3 3", "\u0663 -4"])
+        assert g.num_vertices == 6
+        assert g.has_edge("1_0", 10)
+        assert g.has_edge("+3", 3)
+        assert g.has_edge("\u0663", -4)
+
     def test_bare_label_declares_isolated_vertex(self):
         g = parse_edge_list(["1 2", "7"])
         assert g.has_vertex(7)
@@ -115,6 +124,16 @@ class TestRoundTrip:
         write_edge_list(g, path)
         back = read_edge_list(path)
         assert back == g
+
+    def test_underscore_label_stays_distinct_after_roundtrip(
+        self, tmp_path
+    ):
+        g = Graph.from_edges([("1_0", 1), (10, 2)])
+        path = tmp_path / "g.txt"
+        write_edge_list(g, path)
+        back = read_edge_list(path)
+        assert back.num_vertices == 4
+        assert back.has_edge("1_0", 1) and back.has_edge(10, 2)
 
     def test_isolated_vertices_roundtrip(self, tmp_path):
         g = Graph.from_edges([(1, 2)], vertices=[9, "lonely"])

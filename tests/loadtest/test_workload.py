@@ -138,7 +138,6 @@ class TestValidation:
             "smoke",
             "degrade",
             "chaos",
-            "sharded",
         }
         smoke = get_scenario("smoke")
         assert "storm" not in {kind for kind, _ in smoke.mix}

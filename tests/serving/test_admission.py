@@ -1,4 +1,4 @@
-"""Admission control: cost classes, shed policies, retry hints."""
+"""Admission control: cost classes, queue bounds, retry hints."""
 
 import threading
 
@@ -10,7 +10,6 @@ from repro.graph.generators import planted_kvcc_graph
 from repro.serving import KvccIndex, QueryEngine
 from repro.serving.admission import (
     COST_CLASSES,
-    SHED_POLICIES,
     AdmissionController,
     cost_class,
 )
@@ -63,41 +62,20 @@ class TestController:
             assert again is not None
 
     def test_bounded_sheds_past_the_queue(self):
-        controller = AdmissionController(
-            workers=1, max_queue=0, shed_policy="bounded"
-        )
+        controller = AdmissionController(workers=1, max_queue=0)
         held = controller.admit("point")
         assert controller.admit("point") is None  # busy, no queue slots
         held.release()
 
     def test_strict_never_queues(self):
-        controller = AdmissionController(
-            workers=1, max_queue=32, shed_policy="strict"
-        )
-        assert controller.max_queue == 0
+        # max_queue=0 admits without waiting: every cost class sheds
+        # the moment all workers are busy, and nothing is parked.
+        controller = AdmissionController(workers=1, max_queue=0)
         held = controller.admit("point")
-        assert controller.admit("point") is None
+        for klass in COST_CLASSES:
+            assert controller.admit(klass) is None
+        assert sum(controller.stats()["waiting"].values()) == 0
         held.release()
-
-    def test_block_waits_instead_of_shedding(self):
-        controller = AdmissionController(
-            workers=1, max_queue=0, shed_policy="block"
-        )
-        held = controller.admit("point")
-        admitted = []
-
-        def waiter():
-            ticket = controller.admit("point")
-            admitted.append(ticket)
-            ticket.release()
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        thread.join(timeout=0.2)
-        assert thread.is_alive()  # parked at the bound, not shed
-        held.release()
-        thread.join(timeout=5)
-        assert not thread.is_alive() and admitted[0] is not None
 
     def test_reload_queue_partition_holds_one(self):
         controller = AdmissionController(workers=1, max_queue=8)
@@ -151,13 +129,10 @@ class TestController:
         assert after != before  # a near-zero observation pulled it down
 
     def test_stats_snapshot_shape(self):
-        controller = AdmissionController(
-            workers=2, max_queue=8, shed_policy="bounded"
-        )
+        controller = AdmissionController(workers=2, max_queue=8)
         stats = controller.stats()
         assert stats["workers"] == 2
         assert stats["max_queue"] == 8
-        assert stats["shed_policy"] == "bounded"
         assert set(stats["in_service"]) == set(COST_CLASSES)
         assert set(stats["waiting"]) == set(COST_CLASSES)
         assert set(stats["service_ewma_ms"]) == set(COST_CLASSES)
@@ -167,7 +142,7 @@ class TestController:
         [
             {"workers": 0},
             {"max_queue": -1},
-            {"shed_policy": "panic"},
+            {"workers": -2},
         ],
     )
     def test_bad_construction_rejected(self, kwargs):
@@ -178,7 +153,6 @@ class TestController:
         controller = AdmissionController()
         with pytest.raises(ParameterError, match="cost class"):
             controller.admit("quantum")
-        assert "quantum" not in SHED_POLICIES
 
 
 class TestProtocolOverload:

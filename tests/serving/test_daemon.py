@@ -140,6 +140,76 @@ class TestTcp:
         assert collector.counter("serving.queries") == 1
         assert collector.counter("serving.sessions") == 1
 
+    def _held_engine(self, graph, release: threading.Event) -> QueryEngine:
+        """An engine whose queries wait for ``release`` before resolving."""
+        engine = QueryEngine(graph, KvccIndex.build(graph))
+        resolve = engine.query
+
+        def held_query(*args, **kwargs):
+            release.wait(timeout=30)
+            return resolve(*args, **kwargs)
+
+        engine.query = held_query
+        return engine
+
+    def test_sheds_exactly_past_the_queue_bound(self, graph):
+        # One worker and one queue slot: of six concurrent queries the
+        # held one and the queued one are answered, the other four shed.
+        release = threading.Event()
+        engine = self._held_engine(graph, release)
+        outcomes: list[str] = []
+        lock = threading.Lock()
+
+        def client() -> None:
+            answer = self._ask(
+                handle.address, ['{"op":"query","v":0,"k":2}']
+            )[0]
+            with lock:
+                outcomes.append(
+                    "ok" if answer.get("ok") else answer["code"]
+                )
+
+        settings = ServeSettings(workers=1, max_queue=1)
+        with obs.collecting() as collector:
+            with serve_tcp(engine, settings, background=True) as handle:
+                threads = [
+                    threading.Thread(target=client) for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 30
+                while len(outcomes) < 4 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+        assert sorted(outcomes) == ["ok", "ok"] + ["overloaded"] * 4
+        assert collector.counter("serving.shed") == 4
+        assert collector.counter("serving.admitted") == 2
+
+    def test_stats_answers_while_every_worker_is_busy(self, graph):
+        # Control ops bypass admission: stats must not queue behind a
+        # worker that is still resolving.
+        release = threading.Event()
+        engine = self._held_engine(graph, release)
+        settings = ServeSettings(workers=1, max_queue=4)
+        with serve_tcp(engine, settings, background=True) as handle:
+            with socket.create_connection(handle.address, timeout=10) as busy:
+                stream = busy.makefile("rw", encoding="utf-8", newline="\n")
+                stream.write('{"op":"query","v":0,"k":2}\n')
+                stream.flush()
+                deadline = time.monotonic() + 10
+                while (
+                    handle.admission.stats()["slots_free"]
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                stats = self._ask(handle.address, ['{"op":"stats"}'])[0]
+                release.set()
+                assert json.loads(stream.readline())["ok"]
+        assert stats["stats"]["admission"]["in_service"]["point"] == 1
+
     def test_concurrent_recording_keeps_histograms_consistent(self, graph):
         # N sessions hammer the daemon in parallel; afterwards the
         # merged serving.handle_seconds family must account for every
@@ -224,6 +294,21 @@ class TestStopAndDrain:
         assert not any(t.is_alive() for t in sessions)
         idle.close()
         active.close()
+
+    def test_stop_answers_a_connection_left_in_the_backlog(self, graph):
+        engine = QueryEngine(graph, KvccIndex.build(graph))
+        handle = serve_tcp(engine, background=True)
+        # Park the acceptor first: the connection below completes in the
+        # kernel but is never accepted before stop() runs.
+        handle._server.shutdown()
+        with socket.create_connection(handle.address, timeout=10) as sock:
+            stream = sock.makefile("rw", encoding="utf-8", newline="\n")
+            stream.write('{"op":"query","v":0,"k":3}\n')
+            stream.flush()
+            handle.stop()
+            answer = json.loads(stream.readline())
+        assert answer["ok"]
+        assert handle._server.live_sessions() == []
 
     def test_stop_drains_the_in_flight_request(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))

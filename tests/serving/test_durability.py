@@ -14,7 +14,7 @@ from repro.errors import IndexCorruptionError, ParseError
 from repro.graph.adjacency import Graph
 from repro.graph.generators import planted_kvcc_graph
 from repro.resilience.faults import FaultInjected, FaultPlan
-from repro.serving import KvccIndex, QueryEngine
+from repro.serving import KvccIndex, LRUCache, QueryEngine
 from repro.serving import chaos
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -199,6 +199,32 @@ class TestReloadSwap:
         assert engine.index is before_index
         assert engine.version == before_version
         assert engine.query(0, 2).components  # still answering
+
+    def test_answer_resolved_before_a_reload_is_not_cached_past_it(
+        self, monkeypatch
+    ):
+        """A reload landing between a query's resolve and its cache put
+        clears the cache first; the late put must not serve the old
+        generation's answer from then on."""
+        small, big = self._engines_graphs()
+        engine = QueryEngine(small, KvccIndex.build(small))
+        real_put = LRUCache.put
+        reloads = []
+
+        def put_after_a_reload(cache, key, value):
+            if not reloads:
+                reloads.append(key)
+                engine.reload(big)
+            real_put(cache, key, value)
+
+        monkeypatch.setattr(LRUCache, "put", put_after_a_reload)
+        first = engine.query(0, 2)
+        assert first.components == (frozenset({0, 1, 2}),)
+        assert reloads == [(0, 2)]
+        again = engine.query(0, 2)
+        assert again.components == (frozenset({0, 1, 2, 3}),)
+        assert again.source == "index"
+        assert engine.query(0, 2).source == "cache"
 
     def test_queries_racing_reloads_never_see_a_half_swapped_index(self):
         """The regression the versioned swap exists for.

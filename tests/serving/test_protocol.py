@@ -170,9 +170,7 @@ class TestRequestIds:
         assert SERVER_ID.fullmatch(payload["request_id"])
 
     def test_shed_response_echoes_the_id(self, engine):
-        admission = AdmissionController(
-            workers=1, max_queue=0, shed_policy="strict"
-        )
+        admission = AdmissionController(workers=1, max_queue=0)
         held = admission.admit("point")  # occupy the only worker
         try:
             line, keep_serving = handle_line(
@@ -295,9 +293,7 @@ class TestAccessLog:
 
     def test_shed_record_names_the_reason(self, engine):
         context, stream = self._context()
-        admission = AdmissionController(
-            workers=1, max_queue=0, shed_policy="strict"
-        )
+        admission = AdmissionController(workers=1, max_queue=0)
         held = admission.admit("point")
         try:
             handle_line(

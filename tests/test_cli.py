@@ -311,11 +311,9 @@ class TestServeCommand:
 
     def test_serve_admission_flags_parse(self):
         args = build_parser().parse_args(
-            ["serve", "--graph", "g.txt", "--max-queue", "8",
-             "--shed-policy", "strict"]
+            ["serve", "--graph", "g.txt", "--max-queue", "8"]
         )
         assert args.max_queue == 8
-        assert args.shed_policy == "strict"
 
     def test_serve_needs_a_source(self, capsys):
         assert main(["serve"]) == 2
@@ -339,11 +337,10 @@ class TestLoadtestCommand:
     def test_loadtest_robustness_flags_parse(self):
         args = build_parser().parse_args(
             ["loadtest", "g.txt", "--retry-budget", "3",
-             "--daemon-max-queue", "16", "--daemon-shed-policy", "bounded"]
+             "--daemon-max-queue", "16"]
         )
         assert args.retry_budget == 3
         assert args.daemon_max_queue == 16
-        assert args.daemon_shed_policy == "bounded"
 
     def test_unknown_scenario_is_reported(self, edge_list, tmp_path,
                                           capsys):
