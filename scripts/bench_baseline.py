@@ -9,13 +9,23 @@ embeds a busy-loop calibration so the comparison normalises away
 machine-speed differences (see ``repro.bench.perfgate``). Refusing to
 overwrite without ``--refresh`` keeps an accidental local run from
 silently moving the goalposts.
+
+Two ``repro.obs/1`` stats baselines are written next to it for the CI
+perf-gate job's ``ripple stats diff``: ``smoke_stats.json`` (the
+planted smoke case) and ``seeding_stats.json`` (RIPPLE on the
+``cit-patent`` stand-in at k=4). The smoke graph never reaches the
+LkVCS fallback; the stand-in makes 42 LkVCS enumerations and 4
+fallback seeds, so seeding drift shows in the second diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -68,8 +78,10 @@ def main(argv: list[str] | None = None) -> int:
             args.output.stem + "_stats.json"
         )
 
+    seeding_stats_output = args.output.with_name("seeding_stats.json")
+
     if not args.refresh:
-        for existing in (args.output, args.stats_output):
+        for existing in (args.output, args.stats_output, seeding_stats_output):
             if existing.exists():
                 print(
                     f"error: {existing} exists; pass --refresh to overwrite",
@@ -101,6 +113,8 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(stats_doc, handle, indent=2)
         handle.write("\n")
     print(f"stats baseline written to {args.stats_output}")
+    _seeding_stats_baseline(seeding_stats_output)
+    print(f"seeding stats baseline written to {seeding_stats_output}")
 
     micro = document["csr_microbench"]
     print(
@@ -157,6 +171,28 @@ def _stats_baseline() -> "obs.Collector":
     with obs.collecting(collector):
         ripple(graph, 4)
     return collector
+
+
+def _seeding_stats_baseline(path: Path) -> None:
+    """Write the stats document of the CI seeding run.
+
+    RIPPLE on the ``cit-patent`` stand-in at k=4, run through the same
+    ``ripple generate`` / ``ripple enumerate --stats-json`` commands as
+    the CI step: a graph loaded from its edge list inserts vertices in
+    another order than the generator does, which moves flow counters.
+    """
+    from repro import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = str(Path(tmp) / "cit-patent.edges")
+        for argv in (
+            ["generate", "cit-patent", "-o", edges],
+            ["enumerate", edges, "-k", "4", "--quiet", "--stats-json", str(path)],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = cli.main(argv)
+            if status != 0:
+                raise SystemExit(f"ripple {argv[0]} exited with {status}")
 
 
 if __name__ == "__main__":

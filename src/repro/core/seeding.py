@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable
+from operator import countOf
 
 from repro import obs
 from repro.core.result import PhaseTimer
@@ -97,25 +98,49 @@ def _grow_candidate(
     A candidate is worth verifying only once every member has internal
     degree ≥ k (a necessary condition); otherwise the best-connected
     outside vertex is absorbed. Rejects when the ball is exhausted.
+
+    ``inside`` (member → neighbours among members), ``counts``
+    (frontier vertex → the same) and ``short`` (members still below k)
+    move in O(deg(best)) per absorption. The pick must be the first
+    maximum in a fresh ``external_boundary(members)``'s iteration order
+    (VCCE-BU's goldens depend on it), so only a tie rebuilds the ring.
     """
     members = set(members)
+    adj = ball._adj
+    inside = {u: len(adj[u] & members) for u in members}
+    short = sum(1 for degree in inside.values() if degree < k)
+    counts: dict = {}
+    counts_get = counts.get
+    score = counts.__getitem__
+    for u in members:
+        for v in adj[u]:
+            if v not in members:
+                counts[v] = counts_get(v, 0) + 1
     # The ball is small by construction, but unbounded growth plus a
     # verification per step would still hurt; k-VCSs worth seeding from
     # are found long before this cap.
     max_growth = 4 * k + 8
     for _ in range(max_growth):
-        internal_ok = len(members) > k and all(
-            len(ball.neighbors(u) & members) >= k for u in members
-        )
-        if internal_ok:
+        if not short and len(members) > k:
             timer.count("lkvcs_verifications")
             if is_k_vertex_connected(ball.subgraph(members), k):
                 return members
-        frontier = ball.external_boundary(members)
-        if not frontier:
+        if not counts:
             return None
-        best = max(frontier, key=lambda u: len(ball.neighbors(u) & members))
+        best = max(counts, key=score)
+        if countOf(counts.values(), counts[best]) > 1:
+            best = max(ball.external_boundary(members), key=score)
         members.add(best)
+        degree = inside[best] = counts.pop(best)
+        if degree < k:
+            short += 1
+        for v in adj[best]:
+            if v in members:
+                degree = inside[v] = inside[v] + 1
+                if degree == k:
+                    short -= 1
+            else:
+                counts[v] = counts_get(v, 0) + 1
     return None
 
 

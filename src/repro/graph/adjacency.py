@@ -14,6 +14,7 @@ and parallel edges collapse silently (adjacency is a set).
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
+from itertools import filterfalse
 from typing import TYPE_CHECKING, TypeVar
 
 from repro import obs
@@ -301,10 +302,18 @@ class Graph:
         """``B(S̄)``: vertices *outside* ``members`` adjacent to it.
 
         This is the one-hop candidate ring that RME expands from.
+
+        Iteration order is part of the contract: outside neighbours are
+        added one at a time, members and adjacency sets in their own
+        iteration order. LkVCS growth breaks ties by the first maximum
+        over the ring, and VCCE-BU's goldens depend on it.
         """
+        adj = self._adj
         ring: set = set()
+        update = ring.update
+        inside = members.__contains__
         for u in members:
-            ring.update(v for v in self._adj[u] if v not in members)
+            update(filterfalse(inside, adj[u]))
         return ring
 
     def neighborhood(self, seeds: Iterable[Hashable], hops: int) -> set:

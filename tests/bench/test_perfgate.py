@@ -166,6 +166,20 @@ class TestScripts:
         assert "WALL REGRESSION" in slowed.stdout
         assert "Per-span wall deltas" in slowed.stdout
 
+    def test_baseline_writes_seeding_stats_that_reach_lkvcs(self, tmp_path):
+        written = self._run(
+            "bench_baseline.py", "--output", str(tmp_path / "base.json"),
+            "--repeats", "1",
+        )
+        assert written.returncode == 0, written.stderr
+        document = json.loads(
+            (tmp_path / "seeding_stats.json").read_text(encoding="utf-8")
+        )
+        assert document["schema"] == "repro.obs/1"
+        # The smoke case never reaches the LkVCS fallback; this run must.
+        assert document["counters"]["seeding.fallback_seeds"] > 0
+        assert document["counters"]["lkvcs_enumerations"] > 0
+
     def test_baseline_refuses_overwrite_without_refresh(self, tmp_path):
         target = tmp_path / "base.json"
         target.write_text("{}", encoding="utf-8")

@@ -1,5 +1,8 @@
 """Tests for LkVCS, kBFS, clique seeding, and QkVCS."""
 
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,17 +14,81 @@ from repro.core import (
     lkvcs,
     lkvcs_seeds,
     qkvcs,
+    seeding,
 )
 from repro.errors import ParameterError
 from repro.flow import is_k_vertex_connected
 from repro.graph import (
+    Graph,
     circulant_graph,
     clique_graph,
     community_graph,
     k_core,
     planted_kvcc_graph,
+    powerlaw_cluster_graph,
     random_gnm,
 )
+
+
+def _reference_external_boundary(graph, members):
+    """The ring as a generator expression fills it, one vertex at a time."""
+    ring = set()
+    for u in members:
+        ring.update(v for v in graph.neighbors(u) if v not in members)
+    return ring
+
+
+def _reference_grow_candidate(ball, k, members, timer):
+    """LkVCS growth as it was before incremental counts (the pick oracle).
+
+    Every step rebuilds the frontier and rescores members and frontier
+    with set intersections; the pick is the first maximum in the
+    ring's iteration order.
+    """
+    members = set(members)
+    for _ in range(4 * k + 8):
+        internal_ok = len(members) > k and all(
+            len(ball.neighbors(u) & members) >= k for u in members
+        )
+        if internal_ok:
+            timer.count("lkvcs_verifications")
+            if is_k_vertex_connected(ball.subgraph(members), k):
+                return members
+        frontier = _reference_external_boundary(ball, members)
+        if not frontier:
+            return None
+        best = max(frontier, key=lambda u: len(ball.neighbors(u) & members))
+        members.add(best)
+    return None
+
+
+def _tie_rich_graph(family, seed):
+    """Small graphs whose growth frontiers often share the top count."""
+    if family == "gnm":
+        return random_gnm(26, 95, seed=seed)
+    if family == "powerlaw":
+        return powerlaw_cluster_graph(36, 4, 0.5, seed=seed)
+    return community_graph(
+        [12, 12],
+        k=4,
+        seed=seed,
+        bridge_style="two_star",
+        periphery_pairs=1,
+    )
+
+
+def _with_str_copy(graph):
+    """The graph and a str-relabelled copy, whose sets iterate differently."""
+    relabelled = Graph.from_edges((f"v{u}", f"v{v}") for u, v in graph.edges())
+    return graph, relabelled
+
+
+def _lkvcs_counts(timer):
+    names = ("lkvcs_enumerations", "lkvcs_verifications")
+    return [timer.counter(name) for name in names]
+
+
+_FAMILIES = st.sampled_from(["gnm", "powerlaw", "community"])
 
 
 class TestLkvcs:
@@ -66,6 +133,45 @@ class TestLkvcs:
         g = community_graph([20], k=3, seed=2)
         seeds = lkvcs_seeds(g, 3, covered=g.vertex_set())
         assert seeds == []
+
+
+class TestLkvcsGrowthMatchesReference:
+    """Incremental growth makes exactly the reference loop's picks."""
+
+    @given(
+        family=_FAMILIES,
+        seed=st.integers(min_value=0, max_value=10_000),
+        k=st.sampled_from([3, 4, 5]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_every_start_matches_reference(self, family, seed, k):
+        for graph in _with_str_copy(_tie_rich_graph(family, seed)):
+            for start in graph.vertices():
+                timer = PhaseTimer()
+                got = lkvcs(graph, k, start, timer=timer)
+                reference_timer = PhaseTimer()
+                with mock.patch.object(
+                    seeding, "_grow_candidate", _reference_grow_candidate
+                ):
+                    want = lkvcs(graph, k, start, timer=reference_timer)
+                assert got == want, (start, k)
+                assert _lkvcs_counts(timer) == _lkvcs_counts(reference_timer)
+
+    @given(
+        family=_FAMILIES,
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.integers(min_value=1, max_value=14),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_external_boundary_iterates_in_reference_order(
+        self, family, seed, size
+    ):
+        for graph in _with_str_copy(_tie_rich_graph(family, seed)):
+            vertices = sorted(graph.vertices(), key=str)
+            members = set(random.Random(seed).sample(vertices, size))
+            assert list(graph.external_boundary(members)) == list(
+                _reference_external_boundary(graph, members)
+            )
 
 
 class TestKbfsSeeds:
