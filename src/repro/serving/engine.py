@@ -34,7 +34,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.traversal import component_of
 from repro.resilience import Deadline
 from repro.serving import chaos
-from repro.serving.index import KvccIndex
+from repro.serving.index import KvccIndex, ordered_members
 
 __all__ = [
     "BatchDeadlineExpired",
@@ -70,13 +70,18 @@ class QueryResult:
     overlap vertices get several. ``source`` says where the answer came
     from: ``"cache"``, ``"index"``, or ``"live"`` (above-ceiling
     fallback; live answers mirror :func:`kvcc_containing` and carry at
-    most one component).
+    most one component). ``members`` lists the same components, in
+    the same order, each as a tuple of its vertices in canonical label
+    order (:func:`repro.serving.index.ordered_members`): the index
+    sorts them once per generation and a live answer once when it is
+    resolved, so the wire protocol sends them as they are.
     """
 
     vertex: Hashable
     k: int
     components: tuple[frozenset, ...]
     source: str
+    members: tuple[tuple, ...]
 
     @property
     def best(self) -> frozenset | None:
@@ -308,7 +313,7 @@ class QueryEngine:
                 "serving.resolve_seconds.cache",
                 time.perf_counter() - resolve_started,
             )
-            return QueryResult(vertex, k, cached[1], "cache")
+            return QueryResult(vertex, k, cached[1], "cache", cached[2])
         obs.count("serving.cache.misses")
         if deadline is not None and deadline.expired():
             raise BatchDeadlineExpired([], 1)
@@ -323,17 +328,18 @@ class QueryEngine:
                 )
             if index.covers(k):
                 obs.count("serving.index.hits")
-                components = index.containing(vertex, k)
+                components, members = index.lookup(vertex, k)
                 source = "index"
             else:
                 components = self._live_fallback(vertex, k)
+                members = tuple(map(ordered_members, components))
                 source = "live"
-        self._cache.put((vertex, k), (version, components))
+        self._cache.put((vertex, k), (version, components, members))
         obs.observe(
             f"serving.resolve_seconds.{source}",
             time.perf_counter() - resolve_started,
         )
-        return QueryResult(vertex, k, components, source)
+        return QueryResult(vertex, k, components, source, members)
 
     def query_batch(
         self,

@@ -49,7 +49,7 @@ from repro.graph.adjacency import Graph
 from repro.resilience.faults import FaultInjected
 from repro.serving import chaos
 
-__all__ = ["INDEX_SCHEMA", "KvccIndex", "graph_fingerprint"]
+__all__ = ["INDEX_SCHEMA", "KvccIndex", "graph_fingerprint", "ordered_members"]
 
 #: Schema identifier embedded in every index file; bumped on layout
 #: changes so old files are rejected instead of misread.
@@ -66,12 +66,19 @@ def _check_label(vertex: Hashable) -> Hashable:
     return vertex
 
 
-def _label_key(vertex: Hashable) -> tuple[str, str]:
-    """A total order over mixed int/str labels (ints before strs,
-    ints numerically, strs lexicographically)."""
+def _label_key(vertex: Hashable) -> tuple[int, int | str]:
+    """The canonical order over mixed int/str labels: ints numerically
+    (negatives included), then strs by code point. An int is never
+    compared with a str, so any mix of the two sorts."""
     if isinstance(vertex, int):
-        return ("int", f"{vertex:024d}" if vertex >= 0 else f"-{-vertex:023d}")
-    return ("str", str(vertex))
+        return (0, vertex)
+    return (1, vertex)
+
+
+def ordered_members(component: frozenset) -> tuple:
+    """A component's members in canonical label order — the order the
+    index file stores and the wire protocol sends."""
+    return tuple(sorted(component, key=_label_key))
 
 
 def graph_fingerprint(graph: Graph) -> str:
@@ -88,7 +95,8 @@ def graph_fingerprint(graph: Graph) -> str:
         digest.update(b"\x00")
     digest.update(b"\x01")
     edges = sorted(
-        tuple(sorted((u, v), key=_label_key)) for u, v in graph.edges()
+        (tuple(sorted(edge, key=_label_key)) for edge in graph.edges()),
+        key=lambda edge: (_label_key(edge[0]), _label_key(edge[1])),
     )
     for u, v in edges:
         digest.update(json.dumps([u, v]).encode("utf-8"))
@@ -114,6 +122,7 @@ class KvccIndex:
         "_fingerprint",
         "_levels",
         "_max_k",
+        "_members",
         "_membership",
         "_num_edges",
         "_num_vertices",
@@ -133,6 +142,12 @@ class KvccIndex:
         self._fingerprint = fingerprint
         self._levels = {
             k: tuple(levels[k]) for k in sorted(levels)
+        }
+        # Each component's members in canonical label order, sorted
+        # once per index generation: the file and every answer reuse it.
+        self._members = {
+            k: tuple(ordered_members(component) for component in components)
+            for k, components in self._levels.items()
         }
         self._vertices = vertices
         self._max_k = max_k
@@ -259,6 +274,14 @@ class KvccIndex:
         Raises :class:`ParameterError` for vertices outside the indexed
         graph and for k above an incomplete index's ceiling.
         """
+        return self.lookup(vertex, k)[0]
+
+    def lookup(
+        self, vertex: Hashable, k: int
+    ) -> tuple[tuple[frozenset, ...], tuple[tuple, ...]]:
+        """:meth:`containing` together with each component's members in
+        canonical label order (:func:`ordered_members`), from one lookup.
+        """
         if not self.covers(k):
             raise ParameterError(
                 f"k={k} is above the indexed ceiling "
@@ -268,7 +291,11 @@ class KvccIndex:
             raise ParameterError(f"vertex {vertex!r} not in indexed graph")
         positions = self._membership.get(vertex, {}).get(k, ())
         components = self._levels.get(k, ())
-        return tuple(components[i] for i in positions)
+        members = self._members.get(k, ())
+        return (
+            tuple(components[i] for i in positions),
+            tuple(members[i] for i in positions),
+        )
 
     def membership_levels(self) -> dict[Hashable, int]:
         """Per-vertex deepest level, like
@@ -298,11 +325,8 @@ class KvccIndex:
             "num_edges": self._num_edges,
             "vertices": sorted(self._vertices, key=_label_key),
             "levels": {
-                str(k): [
-                    sorted(component, key=_label_key)
-                    for component in components
-                ]
-                for k, components in self._levels.items()
+                str(k): [list(component) for component in members]
+                for k, members in self._members.items()
             },
         }
 

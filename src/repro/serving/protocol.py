@@ -115,20 +115,11 @@ class ServerContext:
         return time.monotonic() - self.started_at
 
 
-def _sort_key(vertex) -> tuple[str, str]:
-    if isinstance(vertex, int):
-        return ("int", f"{vertex:024d}" if vertex >= 0 else f"-{-vertex:023d}")
-    return ("str", str(vertex))
-
-
 def _encode_result(result: QueryResult) -> dict:
     return {
         "v": result.vertex,
         "k": result.k,
-        "components": [
-            sorted(component, key=_sort_key)
-            for component in result.components
-        ],
+        "components": [list(members) for members in result.members],
         "count": len(result.components),
         "source": result.source,
     }

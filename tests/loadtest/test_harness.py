@@ -107,9 +107,13 @@ class TestInProcess:
         # own serving.handle_seconds p95 must track the client-observed
         # p95. The client figure is strictly larger (it includes the
         # network round trip and client-side scheduling), so agreement
-        # is within a tolerance plus a fixed slack, not equality.
+        # is within a tolerance plus a fixed slack, not equality. The
+        # client p95 is taken over 3 s of measured traffic (600
+        # samples): host scheduling stalls come in bursts, and a window
+        # holding several of them keeps one burst's share of the
+        # samples below the 5% that lie beyond the p95.
         graph = read_edge_list(graph_file, allow_self_loops=True)
-        scenario = _quick(duration_s=1.0, warmup_s=0.2)
+        scenario = _quick(offered_rps=200.0, duration_s=3.2, warmup_s=0.2)
         with obs.collecting():
             with serve_tcp(QueryEngine(graph), background=True) as handle:
                 outcome = run_scenario(
@@ -119,6 +123,7 @@ class TestInProcess:
                     address=handle.address,
                 )
         (row,) = outcome.rows
+        assert row.request_count >= 600
         assert row.server_p95_ms == row.server_p95_ms  # populated, not NaN
         assert row.server_p95_ms > 0
         assert row.server_shed == 0

@@ -13,11 +13,55 @@ from repro.graph.generators import (
     planted_kvcc_graph,
 )
 from repro.serving import INDEX_SCHEMA, KvccIndex, graph_fingerprint
+from repro.serving.index import ordered_members
 
 
 @pytest.fixture(scope="module")
 def planted():
     return planted_kvcc_graph(3, 18, 4, seed=2)
+
+
+#: One int-only and one str-only graph with the fingerprint and saved
+#: index document they had before the label order became numeric for
+#: negative ints (pinned literals): such graphs keep both, so an index
+#: saved for one of them never turns stale.
+PINNED = {
+    "ints": (
+        Graph.from_edges(
+            [(1, 2), (2, 3), (3, 1), (3, 10), (10, 1), (9, 10), (9, 1),
+             (10, 2)],
+            vertices=[7, 100],
+        ),
+        "5d5d59af0bb9b010500ce4bc69cb590586ac737785beaf377517e2b915b47886",
+        '{"schema":"repro.kvcc-index/1","checksum":"8dc51a97a8f44c9ca29d590c'
+        '4663c1e02ebfa2997528427783f42be14862a938","fingerprint":"5d5d59af0b'
+        'b9b010500ce4bc69cb590586ac737785beaf377517e2b915b47886","max_k":nul'
+        'l,"ceiling":3,"complete":true,"num_vertices":7,"num_edges":8,"vert'
+        'ices":[1,2,3,7,9,10,100],"levels":{"1":[[1,2,3,9,10]],"2":[[1,2,3,'
+        '9,10]],"3":[[1,2,3,10]]}}',
+    ),
+    "strs": (
+        Graph.from_edges(
+            [("a", "b"), ("b", "c"), ("c", "a"), ("c", "B"), ("B", "a"),
+             ("10", "B"), ("9", "10"), ("9", "a"), ("B", "b")],
+            vertices=["\u00e9"],
+        ),
+        "f6745e4fc0c4203184f8f8fb1f5263ca45158e6a24beb7a3f7fc7b947f961396",
+        '{"schema":"repro.kvcc-index/1","checksum":"668612d8be46507ebcf75383'
+        '358996b6ec7f83333d59103dc68fcbcaf84cf176","fingerprint":"f6745e4fc0'
+        'c4203184f8f8fb1f5263ca45158e6a24beb7a3f7fc7b947f961396","max_k":nul'
+        'l,"ceiling":3,"complete":true,"num_vertices":7,"num_edges":9,"vert'
+        'ices":["10","9","B","a","b","c","\\u00e9"],"levels":{"1":[["10","9'
+        '","B","a","b","c"]],"2":[["10","9","B","a","b","c"]],"3":[["B","a"'
+        ',"b","c"]]}}',
+    ),
+}
+
+#: Mixed int and str labels in one graph (a 3-VCC on five vertices).
+MIXED_EDGES = [
+    (1, 2), (2, 3), (3, 1), (1, "a"), ("a", 2), ("a", "b"), ("b", 1),
+    ("b", 2), (3, "a"),
+]
 
 
 class TestFingerprint:
@@ -42,6 +86,38 @@ class TestFingerprint:
         g = Graph.from_edges([((1, 2), (3, 4))])
         with pytest.raises(ParameterError):
             graph_fingerprint(g)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_int_only_and_str_only_fingerprints_are_pinned(self, name):
+        graph, fingerprint, _ = PINNED[name]
+        assert graph_fingerprint(graph) == fingerprint
+
+    def test_mixed_int_and_str_labels(self):
+        forward = Graph.from_edges(MIXED_EDGES)
+        backward = Graph.from_edges((v, u) for u, v in reversed(MIXED_EDGES))
+        assert graph_fingerprint(forward) == graph_fingerprint(backward)
+        fewer = Graph.from_edges(MIXED_EDGES[:-1])
+        assert graph_fingerprint(forward) != graph_fingerprint(fewer)
+
+
+class TestLabelOrder:
+    def test_ints_numerically_then_strs_by_code_point(self):
+        # Negative ints and ints of 10**24 and beyond included.
+        labels = [3, -10, 10**24, "b", -1, 9 * 10**23, "B", 0, "a", -5]
+        expected = [-10, -5, -1, 0, 3, 9 * 10**23, 10**24, "B", "a", "b"]
+        assert list(ordered_members(frozenset(labels))) == expected
+
+    def test_negative_labels_are_saved_numerically(self):
+        labels = [3, -10, 10**24, -1, 9 * 10**23, 0, -5]
+        expected = [-10, -5, -1, 0, 3, 9 * 10**23, 10**24]
+        graph = Graph.from_edges(
+            (u, v) for i, u in enumerate(labels) for v in labels[i + 1:]
+        )
+        document = json.loads(KvccIndex.build(graph).to_json())
+        assert document["vertices"] == expected
+        assert len(document["levels"]) == 6
+        for components in document["levels"].values():
+            assert components == [expected]
 
 
 class TestBuild:
@@ -129,6 +205,30 @@ class TestRoundTrip:
                 assert reloaded.containing(vertex, k) == index.containing(
                     vertex, k
                 )
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_documents_keep_their_bytes_and_stay_fresh(self, name):
+        graph, _, document = PINNED[name]
+        assert KvccIndex.build(graph).to_json() == document
+        loaded = KvccIndex.from_json(document)
+        assert not loaded.is_stale(graph)
+        assert loaded.to_json() == document
+
+    def test_mixed_labels_build_save_load(self, tmp_path):
+        graph = Graph.from_edges(MIXED_EDGES)
+        index = KvccIndex.build(graph)
+        assert index.ceiling == 3
+        path = tmp_path / "mixed.idx.json"
+        index.save(path)
+        first = path.read_bytes()
+        document = json.loads(first)
+        assert document["vertices"] == [1, 2, 3, "a", "b"]
+        assert document["levels"]["3"] == [[1, 2, 3, "a", "b"]]
+        reloaded = KvccIndex.load(path)
+        assert not reloaded.is_stale(graph)
+        assert reloaded.containing("a", 3) == (frozenset(graph.vertices()),)
+        reloaded.save(path)
+        assert path.read_bytes() == first
 
     def test_not_stale_after_reload_but_stale_after_edit(
         self, planted, tmp_path

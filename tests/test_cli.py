@@ -258,6 +258,27 @@ class TestServeCommand:
         assert responses[0]["ok"] and responses[0]["source"] == "index"
         assert "2 request(s)" in err
 
+    def test_mixed_int_and_str_labels_build_and_serve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        graph_path = tmp_path / "mixed.txt"
+        graph_path.write_text(
+            "1 2\n2 3\n3 1\n1 a\na 2\na b\nb 1\nb 2\n3 a\n",
+            encoding="utf-8",
+        )
+        index_path = str(tmp_path / "mixed.idx.json")
+        assert main(["index", "build", str(graph_path), "-o", index_path]) == 0
+        assert "ceiling k=3" in capsys.readouterr().out
+        code, responses, _ = self._serve(
+            monkeypatch, capsys,
+            ["serve", "--graph", str(graph_path), "--index", index_path],
+            ['{"op":"query","v":"a","k":3}', '{"op":"query","v":1,"k":2}'],
+        )
+        assert code == 0
+        for response in responses:
+            assert response["source"] == "index"
+            assert response["components"] == [[1, 2, 3, "a", "b"]]
+
     def test_serve_missing_index_degrades_with_graph(
         self, edge_list, tmp_path, monkeypatch, capsys
     ):
