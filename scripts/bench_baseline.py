@@ -90,7 +90,6 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
 
     document = perfgate.run_suite(repeats=args.repeats)
-    document["csr_microbench"] = _csr_microbench()
     args.output.parent.mkdir(parents=True, exist_ok=True)
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
@@ -115,48 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"stats baseline written to {args.stats_output}")
     _seeding_stats_baseline(seeding_stats_output)
     print(f"seeding stats baseline written to {seeding_stats_output}")
-
-    micro = document["csr_microbench"]
-    print(
-        "  csr microbench: network build "
-        f"{micro['build_csr_us']:.1f}us (csr) vs "
-        f"{micro['build_dict_us']:.1f}us (dict), "
-        f"ratio {micro['build_ratio']:.2f}x"
-    )
     return 0
-
-
-def _csr_microbench(builds: int = 100, batches: int = 5) -> dict:
-    """Per-build cost of the flow network: CSR route vs dict route.
-
-    The tentpole claim of the flat-array substrate is that a
-    ``VertexSplitNetwork`` over a primed CSR snapshot beats the
-    dict-adjacency construction it replaced; this records that ratio
-    (best-of-``batches`` mean over ``builds`` constructions each) next
-    to the gated walls so a regression in either route is visible in
-    the committed baseline. Informational only — never gated.
-    """
-    import time
-
-    from repro.flow import fastpath
-    from repro.flow.network import VertexSplitNetwork
-    from repro.graph.generators import planted_kvcc_graph
-
-    graph = planted_kvcc_graph(3, 30, 4, seed=0)
-    members = set(sorted(graph.vertices())[:30])
-    graph.csr()  # prime the snapshot so the CSR route is taken
-    out: dict = {"builds": builds, "batches": batches}
-    for key, csr_on in (("build_csr_us", True), ("build_dict_us", False)):
-        best = float("inf")
-        with fastpath.configured(csr=csr_on):
-            for _ in range(batches):
-                start = time.perf_counter()
-                for _ in range(builds):
-                    VertexSplitNetwork(graph, members)
-                best = min(best, time.perf_counter() - start)
-        out[key] = round(best / builds * 1e6, 2)
-    out["build_ratio"] = round(out["build_dict_us"] / out["build_csr_us"], 3)
-    return out
 
 
 def _stats_baseline() -> "obs.Collector":

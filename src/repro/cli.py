@@ -149,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="input_format",
         help="input format: 'edgelist' (permissive reader) or 'snap' "
         "(streaming loader: '#'/'%%' headers, self-loops and duplicate "
-        "edges dropped with counters, '.gz' accepted, builds the "
-        "flat-array CSR snapshot directly; default: edgelist)",
+        "edges dropped with counters, '.gz' accepted; default: edgelist)",
     )
     enum.add_argument(
         "--algorithm",
@@ -188,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-certificate",
         action="store_true",
         help="disable certificate sparsification of dense flow tests "
-        "(see docs/performance.md); results are identical either way",
+        "(see docs/performance.md); affects ripple and ripple-me only, "
+        "results are identical either way",
     )
     enum.add_argument(
         "--quiet",
@@ -510,6 +510,14 @@ def _cmd_enumerate(args: argparse.Namespace, runinfo: dict) -> int:
             print(
                 "note: --no-certificate does not propagate to "
                 "parallel-ripple workers; ignoring",
+                file=sys.stderr,
+            )
+        elif args.algorithm in ("vcce-td", "vcce-bu"):
+            # Only ME and FBM flow tests read the switch: VCCE-BU runs
+            # neither, and VCCE-TD's cut search always sparsifies.
+            print(
+                f"note: --no-certificate does not affect {args.algorithm}; "
+                "ignoring",
                 file=sys.stderr,
             )
         else:

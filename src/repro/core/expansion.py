@@ -165,16 +165,10 @@ def _shrink_candidates(
     ``C* ⊆ candidates`` whose every vertex reaches σ with ≥ k disjoint
     paths inside ``G[S ∪ C*] + σ``.
 
-    Fast path (see :mod:`repro.flow.fastpath`): the network is built
-    once per round and discarded candidates are *disabled* between
-    passes — flow-equivalent to rebuilding on the shrunk scope — so
-    every pass after the first skips network construction entirely.
-    On dense scopes the flow tests run on the CKT sparse certificate
-    instead; the certificate is only valid for the exact scope it was
-    built from, so certificate rounds rebuild per pass (each pass is
-    then k·n-arc cheap) rather than disabling into a stale certificate.
+    Each pass builds its network on the current scope ``S ∪ C``. On
+    dense scopes the flow tests run on the CKT sparse certificate of
+    that scope instead (see :mod:`repro.flow.fastpath`).
     """
-    config = fastpath.active()
     current = set(candidates)
     # Degree peel: max_flow(u → σ) is capped by u's degree inside the
     # scope ``S ∪ C``, so a candidate below k inside-degree can never
@@ -198,26 +192,18 @@ def _shrink_candidates(
                 inside_degree[v] = d - 1
                 if d == k:
                     peel.append(v)
-    network: VertexSplitNetwork | None = None
-    certified = False
+    certify = fastpath.active().certificate
     while current:
         obs.count("expansion.me.filter_passes")
-        if network is None:
-            scope = members | current
-            host = graph
-            certified = False
-            if config.certificate:
-                certificate = certificate_for_flow(
-                    graph, scope, k, config.certificate_factor
-                )
-                if certificate is not None:
-                    host = certificate
-                    certified = True
-            network = VertexSplitNetwork(
-                host, scope, virtual_sources={SIGMA: members}
-            )
-        else:
-            obs.count("expansion.me.network_rebuilds_avoided")
+        scope = members | current
+        host = graph
+        if certify:
+            certificate = certificate_for_flow(graph, scope, k)
+            if certificate is not None:
+                host = certificate
+        network = VertexSplitNetwork(
+            host, scope, virtual_sources={SIGMA: members}
+        )
         survivors = set()
         for u in current:
             timer.count("me_flow_calls")
@@ -230,13 +216,7 @@ def _shrink_candidates(
         )
         if survivors == current:
             return survivors
-        dropped = current - survivors
         current = survivors
-        if current and config.reuse_networks and not certified:
-            for u in dropped:
-                network.disable_vertex(u)
-        else:
-            network = None
     return current
 
 

@@ -116,12 +116,9 @@ def flow_based_merge_condition(
             obs.count("merge.bound_short_circuits")
             return False
     union = side_a | side_b
-    config = fastpath.active()
     host = graph
-    if config.certificate:
-        certificate = certificate_for_flow(
-            graph, union, k, config.certificate_factor
-        )
+    if fastpath.active().certificate:
+        certificate = certificate_for_flow(graph, union, k)
         if certificate is not None:
             host = certificate
     network = VertexSplitNetwork(
@@ -148,8 +145,7 @@ def merge_components(
     edge) are ever tested — disjoint far-apart subgraphs can never be
     k-connected together. The touch relation is computed **once**, in
     stable component-uid space, from an inverted vertex→component
-    index (on dense CSR ids when the host graph carries a current
-    snapshot, on labels otherwise): merging never adds graph edges, so
+    index: merging never adds graph edges, so
     ``touching(A ∪ B) = touching(A) ∪ touching(B)`` and a merge just
     unions the two sides' touch sets, with uids of absorbed components
     resolved through an absorbed-into map at query time. No vertex is
@@ -162,25 +158,6 @@ def merge_components(
         raise ParameterError(f"k must be >= 1, got {k}")
     timer = timer or PhaseTimer()
     pool = [set(c) for c in components]
-    # CSR fast path: with a current flat snapshot of the host graph,
-    # the one-time inverted-index pass runs on dense integer ids (one
-    # plain-list row per vertex) instead of label sets. The touch sets
-    # are identical either way, so the evaluation sequence — and the
-    # result — does not change.
-    csr = None
-    if fastpath.active().csr:
-        getter = getattr(graph, "csr_if_current", None)
-        if getter is not None:
-            csr = getter()
-    ids_pool: list[set] | None = None
-    if csr is not None:
-        lookup = csr.index.__getitem__
-        try:
-            ids_pool = [set(map(lookup, c)) for c in pool]
-        except KeyError:
-            # A component vertex outside the snapshot (caller passed a
-            # stale graph): stay on the label path.
-            ids_pool = None
 
     # One vertex-level pass: touch[uid] = uids of every component that
     # shares a vertex with uid's component or is adjacent to it. The
@@ -189,48 +166,24 @@ def merge_components(
     # vertex's reach once and multi-unioning per component does far
     # less set work than rescanning every member's adjacency per
     # component — with an identical result.
-    if ids_pool is not None:
-        owner_of: list = [None] * csr.n
-        for uid, component in enumerate(ids_pool):
-            for g in component:
-                owners = owner_of[g]
-                if owners is None:
-                    owners = owner_of[g] = set()
-                owners.add(uid)
-        rows = csr.rows_list()
-        reach: list = [None] * csr.n
-        for g, owners in enumerate(owner_of):
-            if owners is None:
-                continue
-            found: set = set(owners)
-            for w in rows[g]:
-                others = owner_of[w]
-                if others is not None:
-                    found |= others
-            reach[g] = found
-        touch: list[set] = [
-            set().union(*map(reach.__getitem__, component))
-            for component in ids_pool
-        ]
-    else:
-        owner_map: dict = {}
-        for uid, component in enumerate(pool):
-            for v in component:
-                owner_map.setdefault(v, set()).add(uid)
-        neighbors = graph.neighbors
-        get_owner = owner_map.get
-        reach_map: dict = {}
-        for v, owners in owner_map.items():
-            found = set(owners)
-            for w in neighbors(v):
-                others = get_owner(w)
-                if others is not None:
-                    found |= others
-            reach_map[v] = found
-        touch = [
-            set().union(*map(reach_map.__getitem__, component))
-            for component in pool
-        ]
+    owner_map: dict = {}
+    for uid, component in enumerate(pool):
+        for v in component:
+            owner_map.setdefault(v, set()).add(uid)
+    neighbors = graph.neighbors
+    get_owner = owner_map.get
+    reach_map: dict = {}
+    for v, owners in owner_map.items():
+        found = set(owners)
+        for w in neighbors(v):
+            others = get_owner(w)
+            if others is not None:
+                found |= others
+        reach_map[v] = found
+    touch = [
+        set().union(*map(reach_map.__getitem__, component))
+        for component in pool
+    ]
 
     # Component identity survives merges (the absorbing side keeps its
     # uid, bumping its version), so a rejected pair needs re-testing

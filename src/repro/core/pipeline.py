@@ -200,11 +200,6 @@ def bottom_up_pipeline(
                 core = k_core(graph, k)
             if core.num_vertices <= k:
                 return VCCResult([], k=k, algorithm=name, timer=timer)
-            if fastpath.active().csr:
-                # Prime the flat-array snapshot once: the core never
-                # mutates below this point, so every flow network and
-                # merge round shares it (see repro.graph.csr).
-                core.csr()
 
             if resume is None:
                 if budget.expired():

@@ -33,7 +33,7 @@ from repro.graph.generators import (
     planted_kvcc_graph,
     powerlaw_cluster_graph,
 )
-from repro.graph.io import coerce_label
+from repro.graph.io import coerce_label, not_utf8_error
 from repro.graph.kcore import k_core
 
 __all__ = [
@@ -315,20 +315,27 @@ def load_snap_edge_list(path: str) -> CsrGraph:
 
     ``.gz`` paths are decompressed on the fly. The file is read exactly
     once; see :func:`stream_snap_edges` for the tolerated format.
+    Content that is not UTF-8 text, or a truncated gzip stream, raises
+    :class:`~repro.errors.GraphFormatError` naming the file.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as handle:
-        return CsrGraph.from_edge_stream(
-            stream_snap_edges(handle, source=str(path))
-        )
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            return CsrGraph.from_edge_stream(
+                stream_snap_edges(handle, source=str(path))
+            )
+    except UnicodeDecodeError as exc:
+        raise not_utf8_error(path, exc, opener) from None
+    except EOFError as exc:
+        raise GraphFormatError(
+            f"truncated gzip stream ({exc})", source=str(path)
+        ) from None
 
 
 def load_snap_graph(path: str) -> Graph:
-    """SNAP file → adjacency :class:`Graph` with its CSR cache primed.
-
-    The densified graph carries the streamed snapshot as its CSR cache,
-    so the flow fast path takes the flat-array route immediately — the
-    intended input path for ``ripple enumerate --format snap``.
+    """SNAP file → adjacency :class:`Graph`, streamed through
+    :class:`CsrGraph` (the input path of ``ripple enumerate --format
+    snap``).
     """
     return load_snap_edge_list(path).to_graph()
 

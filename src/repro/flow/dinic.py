@@ -58,8 +58,7 @@ class Dinic:
         # Plain Python int lists, deliberately not array('q'): the hot
         # loops read and write individual elements, where list access
         # to cached small ints beats the box/unbox cost an array pays
-        # per element on CPython. Compact array('q') storage lives in
-        # repro.graph.csr, where rows are sliced in bulk instead.
+        # per element on CPython.
         self.head = [-1] * n
         self.to: list[int] = []
         self.cap: list[int] = []
@@ -177,17 +176,17 @@ class Dinic:
             head[v] = index + 1
         return first
 
-    def restore_capacities(self, caps0: list[int], full: bool = False) -> int:
+    def restore_capacities(self, caps0: list[int]) -> int:
         """Reset ``cap`` to ``caps0``, touching only dirty arc pairs.
 
-        With ``full`` (or when the dirty set covers most of the
-        network, where a bulk slice copy is cheaper than indexed
-        stores) the whole array is copied instead. Returns the number
-        of arcs restored individually, or ``-1`` for a full copy — the
-        caller turns that into the ``flow.reset.*`` counters.
+        When the dirty set covers a third or more of the network, where
+        a bulk slice copy is cheaper than indexed stores, the whole
+        array is copied instead. Returns the number of arcs restored
+        individually, or ``-1`` for a full copy — the caller turns that
+        into the ``flow.reset.*`` counters.
         """
         dirty = self.dirty
-        if full or 3 * len(dirty) >= len(caps0):
+        if 3 * len(dirty) >= len(caps0):
             self.cap[:] = caps0
             dirty.clear()
             return -1

@@ -1,28 +1,12 @@
-"""Runtime switches for the flow-engine fast path.
+"""Runtime switch for certificate-sparsified flow tests.
 
-The fast path is a bundle of four independently toggleable
-optimisations (see ``docs/performance.md``):
-
-* **dirty reset** — :class:`repro.flow.network.VertexSplitNetwork`
-  restores only the arcs the previous query touched instead of copying
-  the whole capacity array;
-* **network reuse** — Multiple Expansion keeps one network per filter
-  round and *disables* discarded candidates between passes instead of
-  rebuilding from scratch;
-* **certificate** — ME and FBM flow tests on dense induced subgraphs
-  run on the Cheriyan–Kao–Thurimella sparse certificate (at most
-  ``k(n-1)`` edges) instead of the full subgraph;
-* **csr** — network construction and merge-candidate discovery run on
-  the host graph's flat-array CSR snapshot
-  (:class:`repro.graph.CsrGraph`) when one is current, skipping the
-  per-neighbour set machinery of the dict substrate. The environment
-  variable ``REPRO_FASTPATH_CSR=0`` turns it off process-wide (the CI
-  legacy-path job uses this).
-
-Every optimisation is exact: enumeration output is identical with any
-combination toggled off (``tests/test_fastpath.py`` asserts this
-differentially). The switches exist for ablation benches and as an
-escape hatch, not because results change.
+ME and FBM flow tests on dense induced subgraphs run on the
+Cheriyan–Kao–Thurimella sparse certificate (at most ``k(n-1)`` edges)
+instead of the full subgraph (see ``docs/performance.md``). The switch
+is exact: enumeration output is identical with it on or off
+(``tests/test_fastpath.py`` asserts this differentially). It exists
+for the DESIGN.md §5 ablation and the CLI's ``--no-certificate``, not
+because results change.
 
 Configuration is thread-local, mirroring the :mod:`repro.obs`
 collector scoping: :func:`configured` overrides for a block,
@@ -32,7 +16,6 @@ collector scoping: :func:`configured` overrides for a block,
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -45,51 +28,23 @@ __all__ = [
 ]
 
 
-def _csr_env_default() -> bool:
-    """The ``csr`` default: on unless ``REPRO_FASTPATH_CSR`` disables it."""
-    value = os.environ.get("REPRO_FASTPATH_CSR")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off")
-
-
 @dataclass(frozen=True)
 class FastPathConfig:
-    """Switches for the flow-engine fast path (all on by default)."""
-
-    #: Restore only query-touched arcs on network reset (O(touched)
-    #: instead of O(E) per flow query).
-    dirty_reset: bool = True
-
-    #: Reuse one ME network per filter round, disabling discarded
-    #: candidates between passes instead of rebuilding.
-    reuse_networks: bool = True
+    """Flow-engine switches (on by default)."""
 
     #: Run ME/FBM flow tests on the CKT sparse certificate when the
     #: induced subgraph is dense (the CLI's ``--no-certificate``
     #: disables this).
     certificate: bool = True
 
-    #: Density threshold: the certificate activates when the induced
-    #: subgraph has more than ``certificate_factor * k * n`` edges.
-    #: The certificate itself has at most ``k * (n - 1)`` edges, so a
-    #: factor of 2 guarantees at least a halving of flow work.
-    certificate_factor: float = 2.0
 
-    #: Drive network construction and merge-candidate discovery from
-    #: the host graph's cached CSR snapshot when one is current
-    #: (``Graph.csr_if_current``). Arc layout and results are
-    #: byte-identical to the dict path.
-    csr: bool = True
-
-
-DEFAULT = FastPathConfig(csr=_csr_env_default())
+DEFAULT = FastPathConfig()
 
 
 class _Local(threading.local):
     # Class-attribute fallback: threads that never override read the
     # module default via plain attribute lookup (``active`` sits on
-    # per-test and per-network-build paths).
+    # per-test paths).
     config: FastPathConfig = DEFAULT
 
 

@@ -8,25 +8,10 @@ becomes the two arcs ``u_out → v_in`` and ``v_out → u_in``. A flow from
 
 :class:`VertexSplitNetwork` builds the arc structure once per graph and
 resets capacities between queries, so repeated local-connectivity tests
-(the inner loop of ME and FBM) do not rebuild adjacency arrays. Three
-fast-path mechanics keep construction and repeated queries cheap (all
-exact, all toggleable via :mod:`repro.flow.fastpath`):
-
-* **CSR construction** — when the host graph carries a current
-  :class:`repro.graph.CsrGraph` snapshot (see ``fastpath.csr``), the
-  arc layout is emitted straight from the snapshot's sorted integer
-  rows: no per-member set intersection, no eager adjacency dict (the
-  :meth:`adjacent` query answers from the snapshot instead). The
-  resulting Dinic arc arrays are byte-identical to the dict path's;
-
-* **dirty reset** — the reset between queries restores only the arcs
-  the previous query touched (``Dinic.dirty``), turning the per-query
-  O(E) capacity copy into O(touched);
-* **vertex disabling** — :meth:`disable_vertex` soft-removes a vertex
-  by zeroing its split arc and incident edge arcs (with saved-capacity
-  bookkeeping so :meth:`enable_vertex` restores them), which lets
-  Multiple Expansion shrink its candidate scope between filter passes
-  without reconstructing the network.
+(the inner loop of ME and FBM) do not rebuild adjacency arrays. The
+reset between queries restores only the arcs the previous query touched
+(``Dinic.dirty``), turning the per-query O(E) capacity copy into
+O(touched).
 
 Vertex labels are indexed in a sorted (repr-keyed) order and incident
 arcs are laid out in index order, so the network's edge layout — and
@@ -34,18 +19,15 @@ therefore residual-cut tie-breaks — is identical across processes
 regardless of ``PYTHONHASHSEED`` (``tests/test_determinism.py``).
 
 Virtual vertices (the σ and τ of Theorems 1 and 3) are ordinary vertices
-here: callers add them to the member set with their adjacency before
-constructing the network, via :meth:`VertexSplitNetwork.with_virtual`.
+here: callers pass them with their attachments as ``virtual_sources``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Hashable, Iterable
 
 from repro import obs
 from repro.errors import GraphError, ParameterError
-from repro.flow import fastpath
 from repro.flow.dinic import Dinic
 from repro.graph.adjacency import Graph
 
@@ -66,20 +48,7 @@ class VertexSplitNetwork:
         is adjacent to. Virtual labels must not collide with members.
     """
 
-    __slots__ = (
-        "_index",
-        "_dinic",
-        "_caps0",
-        "_caps_build",
-        "_adjacent",
-        "_csr",
-        "_virtual_attach",
-        "_arcs_of",
-        "_blocks",
-        "_disabled",
-        "_dirty_reset",
-        "_queries",
-    )
+    __slots__ = ("_index", "_dinic", "_caps0", "_adjacent", "_queries")
 
     def __init__(
         self,
@@ -104,39 +73,14 @@ class VertexSplitNetwork:
             )
 
         obs.count("flow.network.builds")
-        config = fastpath.active()
-        # Fast path: when the host graph carries a *current* CSR
-        # snapshot whose id order is the natural label order, the
-        # deterministic sorted layout below can be reproduced straight
-        # from the flat rows — no per-member set intersections, no
-        # eager adjacency dict. Certificate hosts and ad-hoc subgraphs
-        # have no cached snapshot and fall through to the dict path.
-        csr = None
-        if config.csr:
-            getter = getattr(graph, "csr_if_current", None)
-            if getter is not None:
-                csr = getter()
-            if csr is not None and not csr.natural_order:
-                # A subset of a repr-sorted label universe may sort
-                # differently on its own; ids cannot stand in for
-                # sorted labels, so take the dict path.
-                csr = None
-            if csr is None:
-                obs.count("flow.csr.fallbacks")
-
         # Index members in sorted order so the arc layout does not
         # depend on set iteration order (hash randomisation); repr is
         # the tie-break for label sets no natural order covers. Virtual
         # labels follow in their mapping's insertion order.
-        if csr is not None:
-            gids = sorted(map(csr.index.__getitem__, member_set))
-            labels = csr.labels
-            member_order = [labels[g] for g in gids]
-        else:
-            try:
-                member_order = sorted(member_set)
-            except TypeError:
-                member_order = sorted(member_set, key=repr)
+        try:
+            member_order = sorted(member_set)
+        except TypeError:
+            member_order = sorted(member_set, key=repr)
         index: dict[Hashable, int] = {
             u: i for i, u in enumerate(member_order)
         }
@@ -146,11 +90,6 @@ class VertexSplitNetwork:
 
         n = len(index)
         dinic = Dinic(2 * n)
-        # Incident arc ids per vertex, recovered lazily from the Dinic
-        # adjacency on the first disable_vertex (most networks never
-        # disable anything, and recording ids per edge here would cost
-        # a third of the construction time).
-        self._arcs_of: dict[Hashable, list[int]] = {}
         # w_in = 2i, w_out = 2i + 1; internal arc capacity 1. Added
         # first and in index order, so label i's internal arc sits at
         # edge index 2i — and the flattened (2i, 2i+1) pair list is
@@ -162,103 +101,42 @@ class VertexSplitNetwork:
         # the n unit internal arcs, so 2n + 1 is safely "infinite".
         big = 2 * n + 1
         endpoints: list[int] = []
-        if csr is not None:
-            obs.count("flow.csr.network_builds")
-            self._adjacent = None
-            self._csr = csr
-            # Member rows are sorted by global id, and local indices
-            # ascend with global ids over the member subset, so the
-            # upper-index arcs come out already sorted — byte-identical
-            # to the dict path's sorted layout.
-            local_get = dict(zip(gids, range(len(gids)))).get
-            rows = csr.rows_list()
-            for ui, g in enumerate(gids):
-                out = 2 * ui + 1
-                base = 2 * ui
-                row = rows[g]
-                # Rows are sorted and local indices ascend with global
-                # ids, so ``vi > ui`` is exactly ``gv > g`` — bisect to
-                # the upper tail and probe membership only there.
-                for gv in row[bisect_right(row, g):]:
-                    vi = local_get(gv)
-                    if vi is not None:
-                        # One in-place tuple extend per arc instead of
-                        # four append calls — this pair loop dominates
-                        # construction on the CSR path.
-                        endpoints += (out, 2 * vi, 2 * vi + 1, base)
-            self._virtual_attach: dict[Hashable, set] | None = {}
-            for label, attached in virtuals.items():
-                attach_set = set(attached)
-                outside = attach_set - member_set
-                if outside:
-                    raise ParameterError(
-                        f"virtual vertex {label!r} attaches outside "
-                        f"members: {sorted(map(repr, outside))[:5]}"
-                    )
-                self._virtual_attach[label] = attach_set
-                li = index[label]
-                l_out = 2 * li + 1
-                l_in = 2 * li
-                attach_indices = sorted(map(index.__getitem__, attach_set))
-                for vi in attach_indices:
-                    endpoints += (l_out, 2 * vi, 2 * vi + 1, l_in)
-        else:
-            self._csr = None
-            self._virtual_attach = None
-            adjacent: dict[Hashable, set] = {}
-            self._adjacent = adjacent
-            neighbors = graph.neighbors
-            for ui, u in enumerate(member_order):
-                inside = neighbors(u) & member_set
-                adjacent[u] = inside
-                # Each undirected edge is laid out once, from its lower
-                # index; sorting the (halved) index list keeps the arc
-                # layout independent of set iteration order.
-                upper = [vi for v in inside if (vi := index[v]) > ui]
-                upper.sort()
-                out = 2 * ui + 1
-                base = 2 * ui
-                for vi in upper:
-                    endpoints += (out, 2 * vi, 2 * vi + 1, base)
-            for label, attached in virtuals.items():
-                attach_set = set(attached)
-                outside = attach_set - member_set
-                if outside:
-                    raise ParameterError(
-                        f"virtual vertex {label!r} attaches outside "
-                        f"members: {sorted(map(repr, outside))[:5]}"
-                    )
-                adjacent[label] = attach_set
-                li = index[label]
-                l_out = 2 * li + 1
-                l_in = 2 * li
-                attach_indices = [index[v] for v in attach_set]
-                attach_indices.sort()
-                for vi in attach_indices:
-                    adjacent[member_order[vi]].add(label)
-                    endpoints += (l_out, 2 * vi, 2 * vi + 1, l_in)
+        adjacent: dict[Hashable, set] = {}
+        self._adjacent = adjacent
+        neighbors = graph.neighbors
+        for ui, u in enumerate(member_order):
+            inside = neighbors(u) & member_set
+            adjacent[u] = inside
+            # Each undirected edge is laid out once, from its lower
+            # index; sorting the (halved) index list keeps the arc
+            # layout independent of set iteration order.
+            upper = [vi for v in inside if (vi := index[v]) > ui]
+            upper.sort()
+            out = 2 * ui + 1
+            base = 2 * ui
+            for vi in upper:
+                endpoints += (out, 2 * vi, 2 * vi + 1, base)
+        for label, attached in virtuals.items():
+            attach_set = set(attached)
+            outside = attach_set - member_set
+            if outside:
+                raise ParameterError(
+                    f"virtual vertex {label!r} attaches outside "
+                    f"members: {sorted(map(repr, outside))[:5]}"
+                )
+            adjacent[label] = attach_set
+            li = index[label]
+            l_out = 2 * li + 1
+            l_in = 2 * li
+            attach_indices = [index[v] for v in attach_set]
+            attach_indices.sort()
+            for vi in attach_indices:
+                adjacent[member_order[vi]].add(label)
+                endpoints += (l_out, 2 * vi, 2 * vi + 1, l_in)
         dinic.add_edges(endpoints, big)
         self._dinic = dinic
         self._caps0 = list(dinic.cap)
-        # Pristine construction-time capacities: _caps0 additionally
-        # reflects disabled vertices, this copy never changes. Aliased
-        # until the first disable actually diverges them (most networks
-        # never disable anything, and the extra O(E) copy would show).
-        self._caps_build = self._caps0
-        self._blocks: dict[int, int] = {}
-        self._disabled: set = set()
-        self._dirty_reset = config.dirty_reset
         self._queries = 0
-
-    @classmethod
-    def with_virtual(
-        cls,
-        graph: Graph,
-        members: Iterable[Hashable],
-        virtual_sources: dict[Hashable, Iterable[Hashable]],
-    ) -> "VertexSplitNetwork":
-        """Explicit-name constructor for networks with virtual vertices."""
-        return cls(graph, members, virtual_sources=virtual_sources)
 
     # ------------------------------------------------------------------
 
@@ -273,101 +151,10 @@ class VertexSplitNetwork:
 
     def adjacent(self, u: Hashable, v: Hashable) -> bool:
         """Whether ``u`` and ``v`` are adjacent inside the network."""
-        adjacent = self._adjacent
-        if adjacent is not None:
-            return v in adjacent[u]
-        # CSR-built network: virtual adjacency from the attach sets,
-        # member adjacency from the snapshot's sorted rows. Unknown
-        # ``u`` raises KeyError exactly like the dict path.
-        attach = self._virtual_attach
-        attached = attach.get(u)
-        if attached is not None:
-            return v in attached
-        index = self._index
-        if u not in index:
-            raise KeyError(u)
-        attached = attach.get(v)
-        if attached is not None:
-            return u in attached
-        if v not in index:
-            return False
-        return self._csr.has_edge_labels(u, v)
-
-    def is_disabled(self, u: Hashable) -> bool:
-        """Whether ``u`` is currently soft-removed by :meth:`disable_vertex`."""
-        return u in self._disabled
-
-    def disable_vertex(self, u: Hashable) -> None:
-        """Soft-remove ``u``: zero its split arc and incident edge arcs.
-
-        Flow can no longer pass through (or start/end at) ``u``, so
-        queries behave exactly as on the network rebuilt without it.
-        The zeroed capacities are folded into the reset baseline, which
-        is what lets one network object serve every pass of an ME
-        filter round. Re-enable with :meth:`enable_vertex`.
-        """
-        if u not in self._index:
-            raise ParameterError(f"{u!r} is not in the network")
-        if u in self._disabled:
-            raise ParameterError(f"{u!r} is already disabled")
-        if self._caps_build is self._caps0:
-            self._caps_build = list(self._caps0)
-        self._disabled.add(u)
-        obs.count("flow.network.vertex_disables")
-        caps0, cap, blocks = self._caps0, self._dinic.cap, self._blocks
-        for arc in self._incident_arcs(u):
-            blocks[arc] = blocks.get(arc, 0) + 1
-            caps0[arc] = 0
-            cap[arc] = 0
-
-    def enable_vertex(self, u: Hashable) -> None:
-        """Undo :meth:`disable_vertex`, restoring the saved capacities.
-
-        An arc shared with another still-disabled vertex stays at zero
-        until that vertex is enabled too (per-arc block counting).
-        """
-        if u not in self._disabled:
-            raise ParameterError(f"{u!r} is not disabled")
-        self._disabled.discard(u)
-        caps0, cap, blocks = self._caps0, self._dinic.cap, self._blocks
-        build = self._caps_build
-        for arc in self._incident_arcs(u):
-            blocks[arc] -= 1
-            if blocks[arc] == 0:
-                del blocks[arc]
-                caps0[arc] = build[arc]
-                cap[arc] = build[arc]
-
-    def _incident_arcs(self, u: Hashable) -> list[int]:
-        """Every Dinic arc touching ``u``'s split pair, twins included.
-
-        Walked from the adjacency arrays on first use and cached: the
-        chains of ``u_in`` and ``u_out`` hold the internal arc, every
-        incident edge arc's forward copy, and the residual twins of the
-        arcs pointing at ``u`` — so ``e`` plus ``e ^ 1`` over both
-        chains covers the vertex's whole footprint. (Twins are zero in
-        the pristine capacities; blocking and restoring them is a
-        harmless no-op that keeps this enumeration simple.)
-        """
-        arcs = self._arcs_of.get(u)
-        if arcs is None:
-            dinic = self._dinic
-            head, next_edge = dinic.head, dinic.next_edge
-            ui = self._index[u]
-            arcs = []
-            for node in (2 * ui, 2 * ui + 1):
-                e = head[node]
-                while e != -1:
-                    arcs.append(e)
-                    arcs.append(e ^ 1)
-                    e = next_edge[e]
-            self._arcs_of[u] = arcs
-        return arcs
+        return v in self._adjacent[u]
 
     def _reset(self) -> None:
-        restored = self._dinic.restore_capacities(
-            self._caps0, full=not self._dirty_reset
-        )
+        restored = self._dinic.restore_capacities(self._caps0)
         if restored < 0:
             obs.count("flow.reset.full")
         else:
@@ -390,8 +177,6 @@ class VertexSplitNetwork:
         for label in (source, sink):
             if label not in self._index:
                 raise ParameterError(f"{label!r} is not in the network")
-            if label in self._disabled:
-                raise ParameterError(f"{label!r} is disabled in the network")
         if self.adjacent(source, sink):
             raise ParameterError(
                 f"{source!r} and {sink!r} are adjacent: κ is unbounded "

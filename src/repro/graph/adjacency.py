@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 from itertools import filterfalse
-from typing import TYPE_CHECKING, TypeVar
+from typing import TypeVar
 
-from repro import obs
 from repro.errors import GraphError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.graph.csr import CsrGraph
 
 Vertex = TypeVar("Vertex", bound=Hashable)
 
@@ -38,22 +34,13 @@ class Graph:
     (3, 3)
     >>> sorted(g.neighbors(2))
     [1, 3]
-
-    A flat-array CSR snapshot (:class:`repro.graph.CsrGraph`) can be
-    obtained via :meth:`csr`; it is cached per adjacency version and
-    invalidated by any mutation, so read-heavy phases pay one build.
     """
 
-    __slots__ = ("_adj", "_num_edges", "_version", "_csr", "_csr_version")
+    __slots__ = ("_adj", "_num_edges")
 
     def __init__(self) -> None:
         self._adj: dict[Hashable, set] = {}
         self._num_edges = 0
-        # Adjacency version, bumped on every mutation; the CSR cache
-        # remembers which version it snapshotted.
-        self._version = 0
-        self._csr: CsrGraph | None = None
-        self._csr_version = -1
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,7 +75,6 @@ class Graph:
         """Add an isolated vertex (no-op if already present)."""
         if u not in self._adj:
             self._adj[u] = set()
-            self._version += 1
 
     def add_edge(self, u: Hashable, v: Hashable) -> None:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed.
@@ -104,7 +90,6 @@ class Graph:
             self._adj[u].add(v)
             self._adj[v].add(u)
             self._num_edges += 1
-            self._version += 1
 
     def remove_edge(self, u: Hashable, v: Hashable) -> None:
         """Remove the edge ``{u, v}``; raise if it does not exist."""
@@ -114,7 +99,6 @@ class Graph:
         except KeyError as exc:
             raise GraphError(f"edge ({u!r}, {v!r}) does not exist") from exc
         self._num_edges -= 1
-        self._version += 1
 
     def remove_vertex(self, u: Hashable) -> None:
         """Remove ``u`` and all incident edges; raise if absent."""
@@ -124,7 +108,6 @@ class Graph:
             self._adj[v].remove(u)
         self._num_edges -= len(self._adj[u])
         del self._adj[u]
-        self._version += 1
 
     def remove_vertices(self, vertices: Iterable[Hashable]) -> None:
         """Remove every vertex in ``vertices`` (each must exist).
@@ -156,7 +139,6 @@ class Graph:
                     external += 1
             del adj[u]
         self._num_edges -= external + internal // 2
-        self._version += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -229,41 +211,6 @@ class Graph:
         if not self._adj:
             raise GraphError("empty graph has no minimum degree")
         return min(len(nbrs) for nbrs in self._adj.values())
-
-    # ------------------------------------------------------------------
-    # CSR snapshot cache
-    # ------------------------------------------------------------------
-
-    def csr(self) -> "CsrGraph":
-        """The CSR snapshot of the current adjacency (cached).
-
-        The snapshot is rebuilt lazily after any mutation; read-only
-        phases therefore share one flat-array copy no matter how many
-        consumers ask. See :class:`repro.graph.CsrGraph`.
-        """
-        if self._csr is not None and self._csr_version == self._version:
-            obs.count("graph.csr.reuses")
-            return self._csr
-        from repro.graph.csr import CsrGraph
-
-        self._csr = CsrGraph.from_graph(self)
-        self._csr_version = self._version
-        return self._csr
-
-    def csr_if_current(self) -> "CsrGraph | None":
-        """The cached CSR snapshot if still valid, else ``None``.
-
-        Unlike :meth:`csr` this never builds: hot paths use it so only
-        graphs a caller deliberately primed take the flat-array route.
-        """
-        if self._csr is not None and self._csr_version == self._version:
-            return self._csr
-        return None
-
-    def _prime_csr(self, snapshot: "CsrGraph") -> None:
-        """Seed the CSR cache (used by ``CsrGraph.to_graph``)."""
-        self._csr = snapshot
-        self._csr_version = self._version
 
     # ------------------------------------------------------------------
     # Subgraphs and boundaries

@@ -1,11 +1,9 @@
-"""Compressed-sparse-row graph snapshot: the flat-array substrate.
+"""Compressed-sparse-row graph: the SNAP loader's ingestion target.
 
-:class:`repro.graph.Graph` stores adjacency as ``dict[label, set]``,
-which is the right shape for mutation and for algorithms keyed on
-labels — but the flow-heavy inner loops (vertex-split network
-construction, merge-candidate discovery) pay a Python object per
-neighbour visited. :class:`CsrGraph` is the read-only companion: the
-same graph densely renumbered to ``0 … n-1`` and packed into two
+The SNAP loader streams a raw edge file through :class:`CsrGraph` on
+its way to a :class:`repro.graph.Graph`: the edge stream is
+deduplicated once (self-loops and duplicate orientations dropped and
+counted), densely renumbered to ``0 … n-1`` and packed into two
 ``array('q')`` buffers::
 
     indptr   : n+1 offsets        indices : m*2 neighbour ids
@@ -15,31 +13,16 @@ same graph densely renumbered to ``0 … n-1`` and packed into two
     row i = indices[indptr[i] : indptr[i+1]], sorted ascending
 
 Identifiers are assigned in **sorted label order** (``repr`` as the
-tie-break when the label set has no natural order, mirroring
-:class:`repro.flow.network.VertexSplitNetwork`), so for a naturally
-ordered label set the sorted ids of any subset correspond 1:1 to the
-sorted labels of that subset — the property that lets the network
-builder reproduce its deterministic arc layout straight from CSR rows.
-:attr:`natural_order` records whether that property holds.
-
-Subgraphs are expressed as an **int8 alive-mask** (a ``bytearray``,
-one byte per id) instead of copy-and-remove: ``masked_*`` queries skip
-dead ids in place, so shrinking a scope costs one byte store per
-removed vertex rather than an O(scope) rebuild.
-
-Instances are immutable snapshots: :meth:`Graph.csr` caches one per
-adjacency version and invalidates on mutation (see
-``docs/performance.md``).
+tie-break when the label set has no natural order), so
+:meth:`CsrGraph.to_graph` inserts vertices in a deterministic order.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Hashable, Iterable
 
 from repro import obs
-from repro.errors import GraphError
 
 __all__ = ["CsrGraph"]
 
@@ -53,80 +36,19 @@ class CsrGraph:
         Vertex and edge counts.
     labels:
         Vertex labels in id order (``labels[i]`` is the label of id i).
-    index:
-        The interning table, label → id.
     indptr / indices:
         The offset and neighbour ``array('q')`` buffers; row ``i`` is
         ``indices[indptr[i]:indptr[i+1]]``, sorted ascending.
-    natural_order:
-        True when the full label set sorted without ``TypeError`` —
-        the precondition for id-order shortcuts (see module docstring).
     """
 
-    __slots__ = (
-        "n",
-        "num_edges",
-        "labels",
-        "index",
-        "indptr",
-        "indices",
-        "natural_order",
-        "_rows",
-    )
+    __slots__ = ("n", "num_edges", "labels", "indptr", "indices")
 
-    def __init__(
-        self,
-        labels: list,
-        indptr: array,
-        indices: array,
-        natural_order: bool,
-    ) -> None:
+    def __init__(self, labels: list, indptr: array, indices: array) -> None:
         self.labels = labels
-        self.index: dict[Hashable, int] = {
-            u: i for i, u in enumerate(labels)
-        }
         self.indptr = indptr
         self.indices = indices
-        self.natural_order = natural_order
         self.n = len(labels)
         self.num_edges = len(indices) // 2
-        self._rows: list[list[int]] | None = None
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _sorted_labels(labels: Iterable[Hashable]) -> tuple[list, bool]:
-        """Labels in id-assignment order plus the natural-order flag."""
-        ordered = list(labels)
-        try:
-            ordered.sort()
-            return ordered, True
-        except TypeError:
-            ordered.sort(key=repr)
-            return ordered, False
-
-    @classmethod
-    def from_graph(cls, graph) -> "CsrGraph":
-        """Snapshot a :class:`repro.graph.Graph` (or anything with
-        ``vertices()`` / ``neighbors()``)."""
-        obs.count("graph.csr.builds")
-        labels, natural = cls._sorted_labels(graph.vertices())
-        index = {u: i for i, u in enumerate(labels)}
-        indptr = array("q", [0])
-        indices = array("q")
-        extend = indices.extend
-        cut = indptr.append
-        total = 0
-        neighbors = graph.neighbors
-        getter = index.__getitem__
-        for u in labels:
-            row = sorted(map(getter, neighbors(u)))
-            extend(row)
-            total += len(row)
-            cut(total)
-        return cls(labels, indptr, indices, natural)
 
     @classmethod
     def from_edge_stream(
@@ -165,7 +87,11 @@ class CsrGraph:
             obs.count("graph.csr.stream_selfloops_dropped", loops)
         if duplicates:
             obs.count("graph.csr.stream_duplicates_dropped", duplicates)
-        labels, natural = cls._sorted_labels(vertices)
+        labels = list(vertices)
+        try:
+            labels.sort()
+        except TypeError:
+            labels.sort(key=repr)
         index = {u: i for i, u in enumerate(labels)}
         n = len(labels)
         degree = array("q", bytes(8 * n))
@@ -192,14 +118,10 @@ class CsrGraph:
                 indices[start:stop] = array(
                     "q", sorted(indices[start:stop])
                 )
-        return cls(labels, indptr, indices, natural)
+        return cls(labels, indptr, indices)
 
     def to_graph(self):
-        """Densify back to a :class:`repro.graph.Graph`.
-
-        The returned graph carries this snapshot as its pre-seeded CSR
-        cache, so a loader → pipeline round trip does not rebuild it.
-        """
+        """Densify into a :class:`repro.graph.Graph`."""
         from repro.graph.adjacency import Graph
 
         graph = Graph()
@@ -210,146 +132,7 @@ class CsrGraph:
                 labels[j] for j in indices[indptr[i] : indptr[i + 1]]
             }
         graph._num_edges = self.num_edges
-        graph._prime_csr(self)
         return graph
 
-    # ------------------------------------------------------------------
-    # Id-level queries
-    # ------------------------------------------------------------------
-
-    def id_of(self, label: Hashable) -> int:
-        """The dense id of ``label`` (raises :class:`GraphError` if absent)."""
-        try:
-            return self.index[label]
-        except KeyError as exc:
-            raise GraphError(f"vertex {label!r} does not exist") from exc
-
-    def label_of(self, i: int) -> Hashable:
-        """The label of id ``i``."""
-        return self.labels[i]
-
-    def degree(self, i: int) -> int:
-        """``d(i)`` — row length of id ``i``."""
-        return self.indptr[i + 1] - self.indptr[i]
-
-    def neighbors_ids(self, i: int) -> memoryview:
-        """Row ``i`` as a zero-copy int64 view, sorted ascending."""
-        return memoryview(self.indices)[self.indptr[i] : self.indptr[i + 1]]
-
-    def neighbors_view(self) -> memoryview:
-        """One int64 view over the whole neighbour buffer.
-
-        Hot loops slice this once per vertex
-        (``view[indptr[i]:indptr[i+1]]``) instead of paying a fresh
-        ``memoryview`` construction per row.
-        """
-        return memoryview(self.indices)
-
-    def rows_list(self) -> list[list[int]]:
-        """Every row as a plain ``list[int]``, cached on the snapshot.
-
-        The merge-candidate scan and the network builder walk rows
-        element by element, where iterating a Python list of already
-        boxed ints beats slicing ``array('q')`` (one unbox per element)
-        by a wide margin. Materialised lazily on first use — loaders
-        and one-shot queries never pay for it — and immutable like the
-        snapshot itself.
-        """
-        rows = self._rows
-        if rows is None:
-            flat = self.indices.tolist()
-            indptr = self.indptr
-            rows = self._rows = [
-                flat[indptr[i] : indptr[i + 1]] for i in range(self.n)
-            ]
-        return rows
-
-    def has_edge_ids(self, i: int, j: int) -> bool:
-        """Whether ids ``i`` and ``j`` are adjacent (bisect on the
-        shorter row)."""
-        indptr = self.indptr
-        if indptr[i + 1] - indptr[i] > indptr[j + 1] - indptr[j]:
-            i, j = j, i
-        start, stop = indptr[i], indptr[i + 1]
-        at = bisect_left(self.indices, j, start, stop)
-        return at < stop and self.indices[at] == j
-
-    def has_edge_labels(self, u: Hashable, v: Hashable) -> bool:
-        """Whether labels ``u`` and ``v`` are adjacent."""
-        return self.has_edge_ids(self.id_of(u), self.id_of(v))
-
-    def ids(self) -> Iterator[int]:
-        """All ids, ascending."""
-        return iter(range(self.n))
-
-    # ------------------------------------------------------------------
-    # Masked (alive-subset) queries
-    # ------------------------------------------------------------------
-
-    def alive_mask(self, alive_ids: Iterable[int] | None = None) -> bytearray:
-        """An int8 mask, one byte per id — 1 alive, 0 dead.
-
-        With ``alive_ids`` given, only those ids start alive; the
-        default mask has every vertex alive. Killing a vertex later is
-        ``mask[i] = 0`` — no copies, no adjacency rebuild.
-        """
-        if alive_ids is None:
-            return bytearray(b"\x01" * self.n)
-        mask = bytearray(self.n)
-        for i in alive_ids:
-            mask[i] = 1
-        return mask
-
-    def masked_neighbors_ids(self, i: int, mask: bytearray) -> list[int]:
-        """Alive neighbours of id ``i`` under ``mask``, ascending."""
-        return [
-            j
-            for j in self.indices[self.indptr[i] : self.indptr[i + 1]]
-            if mask[j]
-        ]
-
-    def masked_degree(self, i: int, mask: bytearray) -> int:
-        """Alive-neighbour count of id ``i`` under ``mask``."""
-        count = 0
-        for j in self.indices[self.indptr[i] : self.indptr[i + 1]]:
-            count += mask[j]
-        return count
-
-    def masked_neighborhood(
-        self, seed_ids: Iterable[int], hops: int, mask: bytearray
-    ) -> set[int]:
-        """``N^h(seed_ids)`` restricted to alive ids (seeds included).
-
-        The masked equivalent of :meth:`Graph.neighborhood`: dead ids
-        neither join the result nor relay the expansion.
-        """
-        if hops < 0:
-            raise GraphError("hops must be non-negative")
-        indptr, indices = self.indptr, self.indices
-        frontier = {i for i in seed_ids if mask[i]}
-        reached = set(frontier)
-        for _ in range(hops):
-            nxt: set[int] = set()
-            for i in frontier:
-                for j in indices[indptr[i] : indptr[i + 1]]:
-                    if mask[j] and j not in reached:
-                        nxt.add(j)
-            if not nxt:
-                break
-            reached |= nxt
-            frontier = nxt
-        return reached
-
-    # ------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __contains__(self, label: Hashable) -> bool:
-        return label in self.index
-
     def __repr__(self) -> str:
-        return (
-            f"CsrGraph(n={self.n}, m={self.num_edges}, "
-            f"natural_order={self.natural_order})"
-        )
+        return f"CsrGraph(n={self.n}, m={self.num_edges})"

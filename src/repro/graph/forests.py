@@ -108,9 +108,7 @@ def sparse_certificate(graph: Graph, k: int) -> Graph:
     return certificate
 
 
-def certificate_for_flow(
-    graph: Graph, members: set, k: int, factor: float = 2.0
-) -> Graph | None:
+def certificate_for_flow(graph: Graph, members: set, k: int) -> Graph | None:
     """The sparse certificate of ``G[members]`` when it is dense enough.
 
     The expansion/merging hot paths ask threshold questions —
@@ -121,15 +119,16 @@ def certificate_for_flow(
     graph. Running the flow on the certificate caps the arc count at
     ``k·(n-1)`` regardless of how dense the subgraph is.
 
-    Returns ``None`` when the induced subgraph has at most
-    ``factor · k · n`` edges (already sparse — building the certificate
-    would cost more than it saves), otherwise the certificate. The
-    edge count scan early-exits once the threshold is crossed.
+    Returns ``None`` when the induced subgraph has at most ``2 · k · n``
+    edges (already sparse — building the certificate would cost more
+    than it saves; above that, it at least halves the flow work),
+    otherwise the certificate. The edge count scan early-exits once
+    the threshold is crossed.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     n = len(members)
-    threshold = factor * k * n
+    threshold = 2 * k * n
     # The induced subgraph can have no more edges than the host graph.
     if graph.num_edges <= threshold:
         return None

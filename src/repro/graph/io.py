@@ -7,7 +7,8 @@ machinery is defined on simple graphs; parallel edges collapse silently.
 
 Malformed input raises :class:`repro.errors.GraphFormatError` carrying
 the source name and 1-based line number, never a bare ``ValueError``
-traceback. The default policy is forgiving (string labels allowed,
+traceback — a file that is not UTF-8 text (a gzip archive, say)
+included. The default policy is forgiving (string labels allowed,
 extra columns ignored, bare labels declare isolated vertices);
 ``strict=True`` locks the format down to exactly two integer tokens
 per data line for pipelines that must catch corrupted exports early.
@@ -23,6 +24,7 @@ from repro.graph.adjacency import Graph
 
 __all__ = [
     "coerce_label",
+    "not_utf8_error",
     "parse_edge_list",
     "read_edge_list",
     "write_edge_list",
@@ -124,18 +126,46 @@ def read_edge_list(
 ) -> Graph:
     """Read a graph from an edge-list file.
 
-    Parse failures raise :class:`~repro.errors.GraphFormatError` naming
-    the file and line; unreadable or non-text files surface as
-    ``OSError`` / ``UnicodeDecodeError`` from the ``open`` call.
+    Parse failures and non-UTF-8 content raise
+    :class:`~repro.errors.GraphFormatError` naming the file and line;
+    unreadable files surface as ``OSError`` from the ``open`` call.
     """
     source = os.fspath(path)
-    with open(path, encoding="utf-8") as handle:
-        return parse_edge_list(
-            handle,
-            allow_self_loops=allow_self_loops,
-            strict=strict,
-            source=source,
-        )
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_edge_list(
+                handle,
+                allow_self_loops=allow_self_loops,
+                strict=strict,
+                source=source,
+            )
+    except UnicodeDecodeError as exc:
+        raise not_utf8_error(path, exc) from None
+
+
+def not_utf8_error(
+    path: str | os.PathLike, exc: UnicodeDecodeError, opener=open
+) -> GraphFormatError:
+    """The :class:`GraphFormatError` for a file that is not UTF-8 text.
+
+    Text mode decodes in chunks, so ``exc`` cannot say which line held
+    the bad byte; the file is re-read as bytes through ``opener`` to
+    find the first undecodable line.
+    """
+    lineno = None
+    with opener(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                lineno = number
+                break
+    bad = exc.object[exc.start]
+    return GraphFormatError(
+        f"not UTF-8 text (byte {bad:#04x}: {exc.reason})",
+        source=os.fspath(path),
+        lineno=lineno,
+    )
 
 
 def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:

@@ -55,7 +55,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.errors import ParameterError, ReproError
+from repro.errors import GraphFormatError, ParameterError, ReproError
 from repro.obs.histogram import Histogram
 from repro.resilience import Deadline
 from repro.serving import chaos
@@ -284,7 +284,7 @@ def handle_request(
             else:
                 try:
                     graph = reloader()
-                except OSError as exc:
+                except (OSError, GraphFormatError) as exc:
                     response = _error(f"reload failed: {exc}", "internal")
                 else:
                     engine.reload(graph)

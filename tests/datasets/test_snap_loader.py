@@ -74,12 +74,6 @@ class TestLoadSnapEdgeList:
             handle.write(SNAP_TEXT)
         assert load_snap_edge_list(str(path)).num_edges == 4
 
-    def test_graph_form_primes_csr_cache(self, tmp_path):
-        path = _write(tmp_path, SNAP_TEXT)
-        graph = load_snap_graph(path)
-        assert graph.num_edges == 4
-        assert graph.csr_if_current() is not None
-
 
 class TestFixtureScript:
     def test_small_fixture_enumerates_planted_cliques(self, tmp_path):

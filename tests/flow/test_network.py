@@ -192,90 +192,3 @@ class TestVertexCuts:
                 assert len(cut) == flow
                 sub = g.subgraph(g.vertex_set() - cut)
                 assert v not in component_of(sub, u)
-
-
-class TestDisableEnable:
-    """disable_vertex/enable_vertex: flow-equivalent to a rebuild."""
-
-    def test_disable_removes_vertex_from_flows(self):
-        # C6: disabling one side of the cycle leaves κ(0, 3) = 1.
-        g = Graph.from_edges(
-            [(i, (i + 1) % 6) for i in range(6)]
-        )
-        net = VertexSplitNetwork(g)
-        assert net.max_flow(0, 3) == 2
-        net.disable_vertex(1)
-        assert net.max_flow(0, 3) == 1
-        assert net.is_disabled(1)
-
-    def test_round_trip_restores_flow(self):
-        # In K6 every pair is adjacent, so compare flows through σ.
-        g = clique_graph(6)
-        net = VertexSplitNetwork(g, virtual_sources={"s": [0, 1]})
-        net.disable_vertex(2)
-        net.disable_vertex(3)
-        net.enable_vertex(2)
-        net.enable_vertex(3)
-        fresh = VertexSplitNetwork(g, virtual_sources={"s": [0, 1]})
-        assert net.max_flow(5, "s") == fresh.max_flow(5, "s")
-        assert not net.is_disabled(2)
-
-    def test_shared_arc_out_of_order_round_trip(self):
-        # Disable two adjacent vertices (their joining arcs are shared
-        # bookkeeping) and re-enable in the same order — the shared
-        # arcs must come back only when the *second* enable lands.
-        g = clique_graph(5)
-        net = VertexSplitNetwork(g, virtual_sources={"s": [0]})
-        baseline = net.max_flow(4, "s")
-        net.disable_vertex(1)
-        net.disable_vertex(2)
-        net.enable_vertex(1)
-        # 2 still disabled: its shared arc with 1 must stay closed.
-        partial = net.max_flow(4, "s")
-        fresh_minus_2 = VertexSplitNetwork(
-            g, members=g.vertex_set() - {2}, virtual_sources={"s": [0]}
-        )
-        assert partial == fresh_minus_2.max_flow(4, "s")
-        net.enable_vertex(2)
-        assert net.max_flow(4, "s") == baseline
-
-    def test_query_rejects_disabled_endpoint(self):
-        net = VertexSplitNetwork(path_graph(5))
-        net.disable_vertex(4)
-        with pytest.raises(ParameterError):
-            net.max_flow(0, 4)
-
-    def test_double_disable_raises(self):
-        net = VertexSplitNetwork(path_graph(4))
-        net.disable_vertex(2)
-        with pytest.raises(ParameterError):
-            net.disable_vertex(2)
-
-    def test_enable_without_disable_raises(self):
-        net = VertexSplitNetwork(path_graph(4))
-        with pytest.raises(ParameterError):
-            net.enable_vertex(2)
-
-    def test_disable_unknown_vertex_raises(self):
-        net = VertexSplitNetwork(path_graph(4))
-        with pytest.raises(ParameterError):
-            net.disable_vertex(99)
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=15, deadline=None)
-    def test_disable_matches_rebuild_on_random_graphs(self, seed):
-        g = random_gnm(12, 30, seed=seed % 1000)
-        members = g.vertex_set()
-        net = VertexSplitNetwork(g, virtual_sources={"s": [0, 1]})
-        import random as _random
-
-        rng = _random.Random(seed)
-        removable = sorted(members - {0, 1})
-        dropped = rng.sample(removable, 3)
-        for u in dropped:
-            net.disable_vertex(u)
-        rebuilt = VertexSplitNetwork(
-            g, members=members - set(dropped), virtual_sources={"s": [0, 1]}
-        )
-        for u in sorted(members - set(dropped) - {0, 1}):
-            assert net.max_flow(u, "s") == rebuilt.max_flow(u, "s")

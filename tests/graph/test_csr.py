@@ -1,17 +1,13 @@
-"""Property tests for the flat-array CSR graph substrate.
+"""Property tests for the CSR graph the SNAP loader streams through.
 
-Three invariant families from the PR that introduced ``CsrGraph``:
-
-* **Round-trip** — dict graph → CSR snapshot → dict graph is the
-  identity, and the densified graph carries the snapshot as its primed
-  CSR cache.
-* **Interning stability** — ``Graph.csr()`` returns the same snapshot
-  object until a mutation bumps the adjacency version, after which a
-  fresh snapshot is built exactly once.
-* **Masked-subgraph equivalence** — the int8 alive-mask queries agree
-  with physically removing the dead vertices via
-  :meth:`Graph.remove_vertices`.
+``CsrGraph.from_edge_stream`` followed by ``to_graph()`` must be the
+identity on the edge-covered part of a graph, whatever the order and
+orientation of the stream; it orders labels deterministically, and it
+drops self-loops and duplicate edges with counters while keeping a
+self-loop-only vertex as an isolated vertex.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +19,9 @@ from repro.graph.csr import CsrGraph
 
 
 def _random_graph(seed: int) -> Graph:
-    return random_gnm(25, 60, seed=seed)
+    # An edge stream cannot declare isolated vertices, so keep only
+    # the edge-covered part of the graph.
+    return Graph.from_edges(random_gnm(25, 60, seed=seed).edges())
 
 
 class TestRoundTrip:
@@ -31,18 +29,16 @@ class TestRoundTrip:
     @settings(max_examples=25, deadline=None)
     def test_dict_csr_dict_identity(self, seed):
         graph = _random_graph(seed)
-        back = CsrGraph.from_graph(graph).to_graph()
+        back = CsrGraph.from_edge_stream(graph.edges()).to_graph()
         assert back == graph
         assert back.num_edges == graph.num_edges
 
-    def test_to_graph_primes_cache(self):
-        snapshot = CsrGraph.from_graph(_random_graph(3))
-        dense = snapshot.to_graph()
-        assert dense.csr_if_current() is snapshot
-
     def test_rows_are_sorted_and_symmetric(self):
-        csr = CsrGraph.from_graph(_random_graph(7))
-        rows = csr.rows_list()
+        csr = CsrGraph.from_edge_stream(_random_graph(7).edges())
+        rows = [
+            list(csr.indices[csr.indptr[i] : csr.indptr[i + 1]])
+            for i in range(csr.n)
+        ]
         for i, row in enumerate(rows):
             assert row == sorted(row)
             assert i not in row
@@ -51,123 +47,29 @@ class TestRoundTrip:
 
     def test_string_labels_round_trip(self):
         graph = Graph.from_edges([("a", "b"), ("b", "c"), ("a", "c")])
-        csr = CsrGraph.from_graph(graph)
-        assert csr.to_graph() == graph
-        assert csr.labels == ["a", "b", "c"]
+        back = CsrGraph.from_edge_stream(graph.edges()).to_graph()
+        assert back == graph
+        assert list(back.vertices()) == ["a", "b", "c"]
 
     def test_mixed_labels_fall_back_to_repr_order(self):
         graph = Graph.from_edges([(1, "x"), ("x", 2)])
-        csr = CsrGraph.from_graph(graph)
-        assert not csr.natural_order
-        assert csr.to_graph() == graph
+        back = CsrGraph.from_edge_stream(graph.edges()).to_graph()
+        assert back == graph
+        assert list(back.vertices()) == sorted(graph.vertices(), key=repr)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=15, deadline=None)
     def test_stream_build_equals_graph_build(self, seed):
-        # An edge stream cannot declare isolated vertices, so compare
-        # against the edge-covered part of the graph.
-        graph = Graph.from_edges(_random_graph(seed).edges())
-        streamed = CsrGraph.from_edge_stream(graph.edges())
-        built = CsrGraph.from_graph(graph)
-        assert streamed.labels == built.labels
-        assert streamed.indptr == built.indptr
-        assert streamed.indices == built.indices
-
-
-class TestInterningStability:
-    def test_snapshot_is_cached(self):
-        graph = _random_graph(11)
-        assert graph.csr() is graph.csr()
-        assert graph.csr_if_current() is graph.csr()
-
-    def test_mutation_invalidates(self):
-        graph = _random_graph(13)
-        first = graph.csr()
-        graph.add_edge(997, 998)
-        assert graph.csr_if_current() is None
-        second = graph.csr()
-        assert second is not first
-        assert second.index[997] >= 0
-
-    def test_rebuild_counted_once_per_version(self):
-        graph = _random_graph(17)
-        with obs.collecting() as collector:
-            graph.csr()
-            graph.csr()
-            graph.csr()
-        assert collector.counter("graph.csr.builds") == 1
-        assert collector.counter("graph.csr.reuses") == 2
-
-    def test_index_and_labels_agree(self):
-        csr = CsrGraph.from_graph(_random_graph(19))
-        for i in csr.ids():
-            assert csr.id_of(csr.label_of(i)) == i
-
-
-class TestMaskedSubgraphEquivalence:
-    @given(
-        st.integers(min_value=0, max_value=500),
-        st.sets(st.integers(min_value=0, max_value=24), max_size=10),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_masked_queries_match_remove_vertices(self, seed, doomed):
+        # Every edge twice, once per orientation, in shuffled order.
         graph = _random_graph(seed)
-        doomed = {u for u in doomed if graph.has_vertex(u)}
-        csr = CsrGraph.from_graph(graph)
-        mask = csr.alive_mask()
-        for u in doomed:
-            mask[csr.id_of(u)] = 0
-
-        pruned = graph.copy()
-        pruned.remove_vertices(doomed)
-
-        for u in pruned.vertices():
-            i = csr.id_of(u)
-            masked = {
-                csr.label_of(j) for j in csr.masked_neighbors_ids(i, mask)
-            }
-            assert masked == pruned.neighbors(u)
-            assert csr.masked_degree(i, mask) == pruned.degree(u)
-
-    @given(st.integers(min_value=0, max_value=500))
-    @settings(max_examples=10, deadline=None)
-    def test_masked_neighborhood_matches_pruned_bfs(self, seed):
-        graph = _random_graph(seed)
-        doomed = {u for u in (1, 4, 9) if graph.has_vertex(u)}
-        seeds = [u for u in graph.vertices() if u not in doomed][:2]
-        csr = CsrGraph.from_graph(graph)
-        mask = csr.alive_mask()
-        for u in doomed:
-            mask[csr.id_of(u)] = 0
-        pruned = graph.copy()
-        pruned.remove_vertices(doomed)
-
-        for hops in (0, 1, 2, 3):
-            got = {
-                csr.label_of(i)
-                for i in csr.masked_neighborhood(
-                    [csr.id_of(u) for u in seeds], hops, mask
-                )
-            }
-            assert got == pruned.neighborhood(seeds, hops)
+        stream = [*graph.edges(), *((v, u) for u, v in graph.edges())]
+        random.Random(seed).shuffle(stream)
+        assert CsrGraph.from_edge_stream(stream).to_graph() == graph
 
 
 class TestEdgeQueries:
-    def test_has_edge_forms_agree(self):
-        graph = _random_graph(23)
-        csr = CsrGraph.from_graph(graph)
-        for u in graph.vertices():
-            for v in graph.vertices():
-                if u == v:
-                    continue
-                expected = graph.has_edge(u, v)
-                assert csr.has_edge_labels(u, v) == expected
-                assert (
-                    csr.has_edge_ids(csr.id_of(u), csr.id_of(v)) == expected
-                )
-
     def test_empty_graph(self):
-        csr = CsrGraph.from_graph(Graph())
+        csr = CsrGraph.from_edge_stream([])
         assert csr.n == 0
         assert csr.num_edges == 0
         assert csr.to_graph() == Graph()
@@ -184,9 +86,9 @@ class TestStreamHygiene:
         assert collector.counter("graph.csr.stream_duplicates_dropped") == 2
 
     def test_self_loop_vertex_survives_as_isolated(self):
-        csr = CsrGraph.from_edge_stream([(0, 1), (5, 5)])
-        assert 5 in csr
-        assert csr.degree(csr.id_of(5)) == 0
+        graph = CsrGraph.from_edge_stream([(0, 1), (5, 5)]).to_graph()
+        assert 5 in graph
+        assert graph.degree(5) == 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -383,3 +383,22 @@ class TestReloadAndStats:
         assert answers[0]["code"] == "internal"
         assert "disk fell off" in answers[0]["error"]
         assert answers[1]["ok"]  # the session survives
+
+    def test_undecodable_graph_file_fails_the_reload(self, graph, tmp_path):
+        import gzip
+
+        from repro.graph.io import read_edge_list
+
+        path = tmp_path / "served.edges"
+        path.write_bytes(gzip.compress(b"0 1\n"))
+        engine = QueryEngine(graph, KvccIndex.build(graph))
+        settings = ServeSettings(
+            reloader=lambda: read_edge_list(path, allow_self_loops=True)
+        )
+        with serve_tcp(engine, settings, background=True) as handle:
+            answers = self._ask(
+                handle.address, ['{"op":"reload"}', '{"op":"ping"}']
+            )
+        assert answers[0]["code"] == "internal"
+        assert answers[0]["error"].startswith(f"reload failed: {path}, line 1")
+        assert answers[1]["ok"]  # the session survives

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import gzip
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -55,6 +57,105 @@ class TestEnumerate:
     def test_invalid_k_is_reported(self, edge_list, capsys):
         assert main(["enumerate", edge_list, "-k", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is one ``error:`` line, exit 2."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        text = b"0 1\n1 2\n0 2\n"
+        latin = b"0 1\n1 2\n2 \xe9\n"
+        files = {
+            "gzip": ("tri.txt.gz", gzip.compress(text)),
+            "gzip-unsuffixed": ("tri.bin", gzip.compress(text)),
+            "gzip-latin1": ("latin.txt.gz", gzip.compress(latin)),
+            "gzip-truncated": ("cut.txt.gz", gzip.compress(text)[:-6]),
+            "latin1": ("latin.txt", latin),
+        }
+        paths = {}
+        for kind, (name, data) in files.items():
+            (tmp_path / name).write_bytes(data)
+            paths[kind] = str(tmp_path / name)
+        result = tmp_path / "result.json"
+        result.write_text('{"algorithm": "x", "k": 2, "components": []}')
+        paths["result"] = str(result)
+        return paths
+
+    @staticmethod
+    def _fails_cleanly(argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("kind", ["gzip", "latin1"])
+    def test_enumerate_edgelist(self, inputs, kind, capsys):
+        err = self._fails_cleanly(
+            ["enumerate", inputs[kind], "-k", "2"], capsys
+        )
+        assert f"{inputs[kind]}, line " in err
+        assert "not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "kind", ["gzip-unsuffixed", "gzip-latin1", "gzip-truncated", "latin1"]
+    )
+    def test_enumerate_snap(self, inputs, kind, capsys):
+        err = self._fails_cleanly(
+            ["enumerate", inputs[kind], "-k", "2", "--format", "snap"], capsys
+        )
+        assert inputs[kind] in err
+
+    @pytest.mark.parametrize("kind", ["gzip", "latin1"])
+    def test_verify(self, inputs, kind, capsys):
+        err = self._fails_cleanly(
+            ["verify", inputs[kind], inputs["result"]], capsys
+        )
+        assert "not UTF-8 text" in err
+
+    @pytest.mark.parametrize("kind", ["gzip", "latin1"])
+    def test_index_build(self, inputs, kind, tmp_path, capsys):
+        output = str(tmp_path / "i.idx")
+        err = self._fails_cleanly(
+            ["index", "build", inputs[kind], "-o", output], capsys
+        )
+        assert "not UTF-8 text" in err
+
+    def test_serve_graph(self, inputs, capsys):
+        err = self._fails_cleanly(["serve", "--graph", inputs["gzip"]], capsys)
+        assert "not UTF-8 text" in err
+
+    def test_gzip_reads_through_snap(self, inputs, capsys):
+        assert main(["enumerate", inputs["gzip"], "-k", "2",
+                     "--format", "snap", "--quiet"]) == 0
+
+
+class TestNoCertificateNote:
+    @pytest.mark.parametrize("algorithm", ["vcce-td", "vcce-bu"])
+    def test_note_for_algorithms_it_does_not_affect(
+        self, edge_list, algorithm, capsys
+    ):
+        argv = ["enumerate", edge_list, "-k", "3", "--quiet",
+                "--algorithm", algorithm, "--no-certificate"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert f"note: --no-certificate does not affect {algorithm}" in err
+
+    @pytest.mark.parametrize("algorithm", ["ripple", "ripple-me"])
+    def test_no_note_where_it_applies(self, edge_list, algorithm, capsys):
+        argv = ["enumerate", edge_list, "-k", "3", "--quiet",
+                "--algorithm", algorithm, "--no-certificate"]
+        assert main(argv) == 0
+        assert "--no-certificate" not in capsys.readouterr().err
+
+    def test_help_names_the_affected_algorithms(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["enumerate", "--help"])
+        # argparse may wrap the help text at the hyphen of ripple-me.
+        help_text = "".join(capsys.readouterr().out.split())
+        assert "affectsrippleandripple-meonly" in help_text
 
 
 class TestStats:

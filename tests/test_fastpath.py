@@ -1,21 +1,27 @@
-"""The flow fast path is invisible: every toggle yields identical output.
+"""The flow engine's speed-ups are invisible in the output.
 
-The optimisations of :mod:`repro.flow.fastpath` (dirty-capacity reset,
-network reuse with vertex disabling, certificate-sparsified flow tests)
-plus the indexed/memoized merge driver are pure speed-ups — Theorems 1
-and 3 are evaluated on flow-equivalent networks either way. These tests
-pin that claim: enumeration output is compared component-by-component
-between the default configuration and every toggle's off position,
-across the planted generators and k ∈ {2, 3, 4}.
+Certificate-sparsified flow tests (the one :mod:`repro.flow.fastpath`
+switch), dirty-capacity reset and the indexed/memoized merge driver
+are pure speed-ups — Theorems 1 and 3 are evaluated on flow-equivalent
+networks either way. These tests pin that claim: enumeration output is
+compared component-by-component with the certificate on and off
+across the planted generators and k ∈ {2, 3, 4}, and RIPPLE-ME is
+checked against the exact top-down enumerator and the ``verify.py``
+audit on a dataset where ME filter passes drop candidates.
 """
+
+import dataclasses
 
 import pytest
 
 from repro import obs
-from repro.core.expansion import multiple_expansion
+from repro.core.expansion import _shrink_candidates, multiple_expansion
 from repro.core.merging import flow_based_merge_condition, merge_components
 from repro.core.result import PhaseTimer
 from repro.core.ripple import ripple, ripple_me
+from repro.core.vcce_td import vcce_td
+from repro.core.verify import verify_result
+from repro.datasets import DATASETS
 from repro.flow import fastpath
 from repro.graph.generators import (
     clique_graph,
@@ -23,20 +29,8 @@ from repro.graph.generators import (
     planted_kvcc_graph,
 )
 
-# Each toggle individually off, plus everything off (the pre-fast-path
-# behaviour); the default-on run is the reference.
-TOGGLES = [
-    {"csr": False},
-    {"dirty_reset": False},
-    {"reuse_networks": False},
-    {"certificate": False},
-    {
-        "csr": False,
-        "dirty_reset": False,
-        "reuse_networks": False,
-        "certificate": False,
-    },
-]
+# The certificate off; the default-on run is the reference.
+TOGGLES = [{"certificate": False}]
 
 
 def _graph_for(k: int):
@@ -53,24 +47,21 @@ def _canonical(result):
 
 class TestConfigScoping:
     def test_defaults(self):
-        config = fastpath.active()
-        assert config.dirty_reset is True
-        assert config.reuse_networks is True
-        assert config.certificate is True
+        fields = dataclasses.fields(fastpath.FastPathConfig)
+        assert [field.name for field in fields] == ["certificate"]
+        assert fastpath.active().certificate is True
 
     def test_configured_overrides_and_restores(self):
         with fastpath.configured(certificate=False):
             assert fastpath.active().certificate is False
-            assert fastpath.active().dirty_reset is True
-            with fastpath.configured(dirty_reset=False):
-                assert fastpath.active().certificate is False
-                assert fastpath.active().dirty_reset is False
-            assert fastpath.active().dirty_reset is True
+            with fastpath.configured(certificate=True):
+                assert fastpath.active().certificate is True
+            assert fastpath.active().certificate is False
         assert fastpath.active() is fastpath.DEFAULT
 
     def test_configured_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with fastpath.configured(reuse_networks=False):
+            with fastpath.configured(certificate=False):
                 raise RuntimeError("boom")
         assert fastpath.active() is fastpath.DEFAULT
 
@@ -81,7 +72,7 @@ class TestConfigScoping:
 
 
 class TestDifferential:
-    """Identical components with every optimisation on vs off."""
+    """Identical components with the certificate on vs off."""
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -121,8 +112,8 @@ def _pendant_clique():
     discard it — but only 2 vertex-disjoint paths reach σ (every route
     funnels through anchors 0 and 1). ME from a 4-vertex seed keeps
     the clique remainder but must drop both pendants by flow: pass 1
-    shrinks (drop), pass 2 confirms the fixed point on the reused
-    network.
+    shrinks (drop), pass 2 confirms the fixed point on a network
+    rebuilt over the shrunk scope.
     """
     graph = clique_graph(8)
     graph.add_edge(100, 0)
@@ -137,7 +128,7 @@ class TestCounters:
     """The fast path reports what it does through repro.obs."""
 
     def test_dirty_reset_counters(self):
-        # The two-pendant scope runs several flows over one reused
+        # The two-pendant scope runs several flows over each pass's
         # network, so the second and later queries restore the arcs
         # the previous query touched.
         graph = _pendant_clique()
@@ -145,11 +136,6 @@ class TestCounters:
             multiple_expansion(graph, 3, {0, 1, 2, 3})
         assert on.counter("flow.reset.dirty_edges") > 0
         assert on.counter("flow.reset.full") == 0
-        with fastpath.configured(dirty_reset=False):
-            with obs.collecting() as off:
-                multiple_expansion(graph, 3, {0, 1, 2, 3})
-        assert off.counter("flow.reset.dirty_edges") == 0
-        assert off.counter("flow.reset.full") > 0
 
     def test_network_reuse_counters(self):
         graph = _pendant_clique()
@@ -158,19 +144,20 @@ class TestCounters:
         assert collector.counter("flow.network.builds") > 0
         assert collector.counter("flow.network.reuses") > 0
 
-    def test_me_rebuilds_avoided_when_reusing(self):
+    def test_me_rebuilds_network_every_pass(self):
+        # The first ME round: pass 1 drops both pendants, pass 2
+        # confirms the clique remainder on a network rebuilt over the
+        # shrunk scope.
         graph = _pendant_clique()
-        with obs.collecting() as on:
-            grown = multiple_expansion(graph, 3, {0, 1, 2, 3})
-        assert grown == set(range(8))
-        assert on.counter("expansion.me.network_rebuilds_avoided") > 0
-        assert on.counter("flow.network.vertex_disables") > 0
-        with fastpath.configured(reuse_networks=False):
-            with obs.collecting() as off:
-                grown = multiple_expansion(graph, 3, {0, 1, 2, 3})
-        assert grown == set(range(8))
-        assert off.counter("expansion.me.network_rebuilds_avoided") == 0
-        assert off.counter("flow.network.vertex_disables") == 0
+        candidates = {4, 5, 6, 7, 100, 101}
+        with obs.collecting() as collector:
+            survivors = _shrink_candidates(
+                graph, 3, {0, 1, 2, 3}, candidates, PhaseTimer()
+            )
+        assert survivors == {4, 5, 6, 7}
+        assert collector.counter("expansion.me.filter_passes") == 2
+        assert collector.counter("flow.network.builds") == 2
+        assert multiple_expansion(graph, 3, {0, 1, 2, 3}) == set(range(8))
 
     def test_certificate_activates_on_dense_scope(self):
         # A 40-clique scope: 780 edges vs factor·k·n = 2·3·40 = 240.
@@ -235,3 +222,21 @@ class TestCounters:
         # Seeds from different communities mostly do not touch; the
         # inverted index never surfaces those pairs.
         assert collector.counter("merge.pairs_skipped_by_index") > 0
+
+
+class TestExactOracle:
+    """RIPPLE-ME equals VCCE-TD and passes the exact audit.
+
+    On sc-shipsec, ME filter passes drop part of their candidates at
+    k = 3 and 4, so later passes run on networks rebuilt over the
+    shrunk scope.
+    """
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_ripple_me_matches_vcce_td_on_sc_shipsec(self, k):
+        graph = DATASETS["sc-shipsec"].graph()
+        result = ripple_me(graph, k)
+        assert _canonical(result) == _canonical(vcce_td(graph, k))
+        reports = verify_result(graph, result)
+        assert reports
+        assert all(report.is_valid_kvcc for report in reports)
