@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.expansion import SIGMA, ring_expansion
 from repro.core.merging import flow_based_merge_condition
-from repro.core.result import PhaseTimer
 from repro.flow import VertexSplitNetwork
 from repro.graph import (
     community_graph,
@@ -79,9 +78,7 @@ def test_micro_fbm_condition(benchmark, host):
     side_b = set(range(60, 120))
 
     def check():
-        return flow_based_merge_condition(
-            host, 4, side_a, side_b, PhaseTimer()
-        )
+        return flow_based_merge_condition(host, 4, side_a, side_b)
 
     assert benchmark(check) is False  # thin bridge: correctly refused
 

@@ -12,7 +12,7 @@ support each other — and walks the three expansion strategies over it:
 Run:  python examples/expansion_anatomy.py
 """
 
-from repro import PhaseTimer
+from repro import obs
 from repro.core import multiple_expansion, ring_expansion, unitary_expansion
 from repro.graph import clique_graph, ue_trap_graph
 
@@ -43,16 +43,16 @@ def main() -> None:
     print(f"Unitary Expansion  : {sorted(ue)}"
           f"   (stalled — every candidate alone has < {k} anchors)")
 
-    timer = PhaseTimer()
-    me = multiple_expansion(graph, k, seed, hops=None, timer=timer)
+    with obs.collecting() as counts:
+        me = multiple_expansion(graph, k, seed, hops=None)
     print(f"Multiple Expansion : {sorted(me)}"
-          f"   ({timer.counter('me_flow_calls')} max-flow calls)")
+          f"   ({counts.counter('expansion.me.flow_tests')} max-flow calls)")
 
-    timer = PhaseTimer()
-    rme = ring_expansion(graph, k, seed, timer=timer)
+    with obs.collecting() as counts:
+        rme = ring_expansion(graph, k, seed)
     print(f"Ring-based ME      : {sorted(rme)}"
-          f"   ({timer.counter('rme_cliques_absorbed')} cliques absorbed,"
-          f" zero max-flow calls)")
+          f"   ({counts.counter('expansion.rme.cliques_absorbed')} cliques"
+          f" absorbed, zero max-flow calls)")
 
     # The same effect at scale: a long chain of mutually supporting
     # pairs. UE recovers none of the tail, RME recovers all of it.

@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 
 from repro import obs
-from repro.core.result import PhaseTimer
 from repro.errors import ParameterError
 from repro.flow import fastpath
 from repro.flow.network import VertexSplitNetwork
@@ -57,12 +56,7 @@ def _check_k(k: int) -> None:
         raise ParameterError(f"expansion requires k >= 2, got {k}")
 
 
-def unitary_expansion(
-    graph: Graph,
-    k: int,
-    seed: Iterable[Hashable],
-    timer: PhaseTimer | None = None,
-) -> set:
+def unitary_expansion(graph: Graph, k: int, seed: Iterable[Hashable]) -> set:
     """Expand ``seed`` one vertex at a time (the VCCE-BU heuristic).
 
     A candidate joins when it already has ≥ k neighbours inside the
@@ -70,7 +64,6 @@ def unitary_expansion(
     work queue propagates until a fixed point.
     """
     _check_k(k)
-    timer = timer or PhaseTimer()
     members = set(seed)
     # Inside-degree bookkeeping (mirrors RME's ring buckets): every
     # boundary vertex carries |N(u) ∩ members|, updated on absorption,
@@ -84,7 +77,7 @@ def unitary_expansion(
         u = pending.pop()
         if u in members:
             continue
-        timer.count("ue_checks")
+        obs.count("expansion.ue.checks")
         if inside_degree[u] < k:
             continue  # stale queue entry
         members.add(u)
@@ -106,7 +99,6 @@ def multiple_expansion(
     k: int,
     seed: Iterable[Hashable],
     hops: int | None = 1,
-    timer: PhaseTimer | None = None,
 ) -> set:
     """Expand ``seed`` by the exact Multiple Expansion (Algorithm 1).
 
@@ -117,7 +109,6 @@ def multiple_expansion(
     _check_k(k)
     if hops is not None and hops < 1:
         raise ParameterError(f"hops must be >= 1 or None, got {hops}")
-    timer = timer or PhaseTimer()
     members = set(seed)
     while True:
         if hops is None:
@@ -132,9 +123,7 @@ def multiple_expansion(
             members=len(members),
             candidates=len(candidates),
         ):
-            survivors = _shrink_candidates(
-                graph, k, members, candidates, timer
-            )
+            survivors = _shrink_candidates(graph, k, members, candidates)
             obs.set_span_attrs(absorbed=len(survivors))
         obs.count("expansion.me.absorbed", len(survivors))
         obs.count(
@@ -153,11 +142,7 @@ def multiple_expansion(
 
 
 def _shrink_candidates(
-    graph: Graph,
-    k: int,
-    members: set,
-    candidates: set,
-    timer: PhaseTimer,
+    graph: Graph, k: int, members: set, candidates: set
 ) -> set:
     """Iterate the ME filter until the candidate set is stable.
 
@@ -206,7 +191,7 @@ def _shrink_candidates(
         )
         survivors = set()
         for u in current:
-            timer.count("me_flow_calls")
+            obs.count("expansion.me.flow_tests")
             if network.max_flow(u, SIGMA, cutoff=k) >= k:
                 survivors.add(u)
         obs.trace_event(
@@ -220,22 +205,16 @@ def _shrink_candidates(
     return current
 
 
-def ring_expansion(
-    graph: Graph,
-    k: int,
-    seed: Iterable[Hashable],
-    timer: PhaseTimer | None = None,
-) -> set:
+def ring_expansion(graph: Graph, k: int, seed: Iterable[Hashable]) -> set:
     """Expand ``seed`` by Ring-based Multiple Expansion (Algorithm 3)."""
     _check_k(k)
-    timer = timer or PhaseTimer()
     members = set(seed)
     while True:
         obs.count("expansion.rme.rounds")
         with obs.start_span(
             "expansion.rme.round", members=len(members)
         ):
-            absorbed = _ring_pass(graph, k, members, timer)
+            absorbed = _ring_pass(graph, k, members)
             obs.set_span_attrs(absorbed=len(absorbed))
         obs.count("expansion.rme.absorbed", len(absorbed))
         obs.trace_event(
@@ -247,9 +226,7 @@ def ring_expansion(
     return members
 
 
-def _ring_pass(
-    graph: Graph, k: int, members: set, timer: PhaseTimer
-) -> set:
+def _ring_pass(graph: Graph, k: int, members: set) -> set:
     """One do-iteration of Algorithm 3: returns the newly absorbed set F."""
     ring: dict[Hashable, int] = {}
     buckets: list[set] = [set() for _ in range(k + 1)]
@@ -277,7 +254,7 @@ def _ring_pass(
                 ring[v] = r + 1
                 if r + 1 >= k:
                     absorbed.add(v)
-                    timer.count("rme_chain_absorbed")
+                    obs.count("expansion.rme.chain_absorbed")
                     stack.append(v)
                 else:
                     buckets[r + 1].add(v)
@@ -300,7 +277,7 @@ def _ring_pass(
         # The enumeration reads only the immutable ring snapshot, so
         # the eager list sees exactly what lazy iteration would.
         for clique in collect_cliques_at_least(ring_subgraph, k + 1 - r):
-            timer.count("rme_clique_checks")
+            obs.count("expansion.rme.clique_checks")
             if any(v not in buckets[r] for v in clique):
                 continue  # a member was absorbed or promoted meanwhile
             base = members | absorbed
@@ -309,7 +286,7 @@ def _ring_pass(
             for v in clique:
                 buckets[r].discard(v)
                 absorbed.add(v)
-            timer.count("rme_cliques_absorbed")
+            obs.count("expansion.rme.cliques_absorbed")
             for v in clique:
                 promote_neighbours(v)
     return absorbed

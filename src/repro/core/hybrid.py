@@ -21,12 +21,9 @@ from __future__ import annotations
 
 from repro.core.result import PhaseTimer, VCCResult
 from repro.core.ripple import ripple
-from repro.core.vcce_td import _drop_nested
+from repro.core.vcce_td import _drop_nested, _partition
 from repro.errors import ParameterError
-from repro.flow.connectivity import find_vertex_cut
 from repro.graph.adjacency import Graph
-from repro.graph.kcore import k_core
-from repro.graph.traversal import connected_components
 
 __all__ = ["vcce_hybrid"]
 
@@ -45,37 +42,10 @@ def vcce_hybrid(graph: Graph, k: int, alpha: int = 1000) -> VCCResult:
     timer = PhaseTimer()
     with timer.phase("bottom_up"):
         heuristic = ripple(graph, k, alpha=alpha)
-    known_kvcs = {frozenset(c) for c in heuristic.components}
-
-    found: set[frozenset] = set()
     with timer.phase("partition"):
-        pending: list[set] = [graph.vertex_set()]
-        while pending:
-            members = pending.pop()
-            if len(members) <= k:
-                continue
-            sub = k_core(graph.subgraph(members), k)
-            timer.count("partitions")
-            for component in connected_components(sub):
-                if len(component) <= k:
-                    continue
-                frozen = frozenset(component)
-                if frozen in known_kvcs:
-                    # Already verified k-connected by the bottom-up
-                    # pass: certification (the expensive no-cut scan)
-                    # is free.
-                    timer.count("certifications_skipped")
-                    found.add(frozen)
-                    continue
-                piece = sub.subgraph(component)
-                cut = find_vertex_cut(piece, k)
-                timer.count("cut_searches")
-                if cut is None:
-                    found.add(frozen)
-                    continue
-                remainder = piece.subgraph(component - cut)
-                for part in connected_components(remainder):
-                    pending.append(part | cut)
+        found = _partition(
+            graph, k, certified=frozenset(heuristic.components)
+        )
     with timer.phase("finalize"):
         components = _drop_nested(found)
     return VCCResult(

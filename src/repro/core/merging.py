@@ -32,7 +32,6 @@ from collections.abc import Callable
 
 from repro import obs
 from repro.core.expansion import SIGMA
-from repro.core.result import PhaseTimer
 from repro.errors import ParameterError
 from repro.flow import fastpath
 from repro.flow.network import VertexSplitNetwork
@@ -49,17 +48,16 @@ __all__ = [
 #: Label of the virtual vertex attached to the second side (Theorem 3).
 TAU = "__tau__"
 
-MergeCondition = Callable[[Graph, int, set, set, PhaseTimer], bool]
+MergeCondition = Callable[[Graph, int, set, set], bool]
 
 
 def neighbor_based_merge_condition(
-    graph: Graph, k: int, side_a: set, side_b: set, timer: PhaseTimer
+    graph: Graph, k: int, side_a: set, side_b: set
 ) -> bool:
     """NBM, Proposition 1 of the paper (deliberately flawed baseline).
 
     ``|S ∩ S'| + min(|N_{G[S' \\ S]}(S \\ S')|, |N_{G[S \\ S']}(S' \\ S)|) ≥ k``
     """
-    timer.count("merge_checks")
     obs.count("merge.tests_attempted")
     overlap = side_a & side_b
     pure_a = side_a - side_b
@@ -81,10 +79,9 @@ def neighbor_based_merge_condition(
 
 
 def flow_based_merge_condition(
-    graph: Graph, k: int, side_a: set, side_b: set, timer: PhaseTimer
+    graph: Graph, k: int, side_a: set, side_b: set
 ) -> bool:
     """FBM, Theorem 3: merge iff σ and τ are k-connected in the union."""
-    timer.count("merge_checks")
     obs.count("merge.tests_attempted")
     overlap = len(side_a & side_b)
     if overlap >= k:
@@ -126,7 +123,7 @@ def flow_based_merge_condition(
         union,
         virtual_sources={SIGMA: side_a, TAU: side_b},
     )
-    timer.count("fbm_flow_calls")
+    obs.count("merge.flow_tests")
     verdict = network.max_flow(SIGMA, TAU, cutoff=k) >= k
     obs.count("merge.tests_accepted" if verdict else "merge.tests_rejected")
     return verdict
@@ -137,7 +134,6 @@ def merge_components(
     k: int,
     components: list[set],
     condition: MergeCondition,
-    timer: PhaseTimer | None = None,
 ) -> list[set]:
     """Merge components pairwise until no pair satisfies ``condition``.
 
@@ -156,7 +152,6 @@ def merge_components(
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
-    timer = timer or PhaseTimer()
     pool = [set(c) for c in components]
 
     # One vertex-level pass: touch[uid] = uids of every component that
@@ -274,16 +269,14 @@ def merge_components(
                         # Uninstrumented runs skip the span machinery
                         # (and its attribute-list allocations) — this
                         # is the innermost loop of the merge phase.
-                        accepted = condition(graph, k, current, other, timer)
+                        accepted = condition(graph, k, current, other)
                     else:
                         with obs.start_span(
                             "merge.test",
                             pair=[i, j],
                             sizes=[len(current), len(other)],
                         ):
-                            accepted = condition(
-                                graph, k, current, other, timer
-                            )
+                            accepted = condition(graph, k, current, other)
                             obs.set_span_attrs(accepted=accepted)
                     if not accepted:
                         rejected.add(key)
@@ -295,7 +288,6 @@ def merge_components(
                     alive[j] = False
                     alive_count -= 1
                     versions[i] += 1
-                    timer.count("merges")
                     merged_any = True
                     # The grown component may touch positions the old
                     # one did not; only positions past the scan pointer

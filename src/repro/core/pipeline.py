@@ -46,26 +46,26 @@ Expander = Callable[..., set]
 Merger = Callable[..., bool]
 
 
-def _seed_qkvcs(graph: Graph, k: int, alpha: int, timer: PhaseTimer):
-    return seeding_mod.qkvcs(graph, k, alpha=alpha, timer=timer)
+# The adapters look their target up on each call, so patching the
+# module attribute (as a tracer or a test double does) takes effect.
+def _seed_qkvcs(graph: Graph, k: int, alpha: int):
+    return seeding_mod.qkvcs(graph, k, alpha=alpha)
 
 
-def _seed_lkvcs(graph: Graph, k: int, alpha: int, timer: PhaseTimer):
-    return seeding_mod.lkvcs_seeds(graph, k, alpha=alpha, timer=timer)
+def _seed_lkvcs(graph: Graph, k: int, alpha: int):
+    return seeding_mod.lkvcs_seeds(graph, k, alpha=alpha)
 
 
-def _expand_ue(graph: Graph, k: int, seed: set, hops, timer: PhaseTimer):
-    return expansion_mod.unitary_expansion(graph, k, seed, timer=timer)
+def _expand_ue(graph: Graph, k: int, seed: set, hops):
+    return expansion_mod.unitary_expansion(graph, k, seed)
 
 
-def _expand_rme(graph: Graph, k: int, seed: set, hops, timer: PhaseTimer):
-    return expansion_mod.ring_expansion(graph, k, seed, timer=timer)
+def _expand_rme(graph: Graph, k: int, seed: set, hops):
+    return expansion_mod.ring_expansion(graph, k, seed)
 
 
-def _expand_me(graph: Graph, k: int, seed: set, hops, timer: PhaseTimer):
-    return expansion_mod.multiple_expansion(
-        graph, k, seed, hops=hops, timer=timer
-    )
+def _expand_me(graph: Graph, k: int, seed: set, hops):
+    return expansion_mod.multiple_expansion(graph, k, seed, hops=hops)
 
 
 SEEDERS: dict[str, Seeder] = {
@@ -205,7 +205,7 @@ def bottom_up_pipeline(
                 if budget.expired():
                     return stopped("deadline")
                 with timer.phase("seeding", strategy=seeding):
-                    seeds = SEEDERS[seeding](core, k, alpha, timer)
+                    seeds = SEEDERS[seeding](core, k, alpha)
                 if not seeds:
                     return VCCResult(
                         [], k=k, algorithm=name, timer=timer
@@ -223,7 +223,7 @@ def bottom_up_pipeline(
                     "merging", round=round_no, pool=len(pool)
                 ):
                     return merging_mod.merge_components(
-                        core, k, pool, merge_condition, timer=timer
+                        core, k, pool, merge_condition
                     )
 
             def expand_step(pool: list[set]) -> list[set]:
@@ -238,7 +238,7 @@ def bottom_up_pipeline(
                             size=len(comp),
                         ):
                             grown.append(
-                                expand(core, k, comp, me_hops, timer)
+                                expand(core, k, comp, me_hops)
                             )
                     return grown
 
@@ -255,7 +255,7 @@ def bottom_up_pipeline(
                     return stopped("deadline")
                 components = second(components)
                 after = {frozenset(c) for c in components}
-                timer.count("rounds")
+                obs.count("pipeline.rounds")
                 if after == before:
                     break
                 before = after

@@ -1,9 +1,11 @@
 """Result and instrumentation types shared by every enumeration algorithm.
 
 Each algorithm returns a :class:`VCCResult` carrying the enumerated
-components plus the per-phase wall-clock timings and operation counters
-the paper's Figure 9 / Table VI analyses need. Results round-trip
-through JSON for the CLI and for archiving benchmark output.
+components plus the per-phase wall-clock timings the paper's Figure 9
+analysis needs. Operation counts (Table VI's seeding coverage, flow
+calls, merge tests) go to the active :mod:`repro.obs` collector only.
+Results round-trip through JSON for the CLI and for archiving
+benchmark output.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ RESULT_STATUSES = ("completed", "deadline", "degraded", "interrupted")
 
 
 class PhaseTimer:
-    """Accumulates wall-clock time and counters per named phase.
+    """Accumulates wall-clock time per named phase.
 
     Every recording is mirrored to the thread's active
-    :mod:`repro.obs` collector (phases under a ``phase.`` prefix), so
-    enabling observability aggregates the existing per-result timers
-    without touching the algorithms.
+    :mod:`repro.obs` collector under a ``phase.`` prefix, so enabling
+    observability aggregates the per-result timers without touching
+    the algorithms.
 
     >>> timer = PhaseTimer()
     >>> with timer.phase("seeding"):
@@ -42,7 +44,6 @@ class PhaseTimer:
 
     def __init__(self) -> None:
         self._seconds: dict[str, float] = {}
-        self._counters: dict[str, int] = {}
 
     def phase(self, name: str, **attrs) -> "_PhaseContext":
         """Context manager adding the block's duration to ``name``.
@@ -59,33 +60,14 @@ class PhaseTimer:
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
         obs.add_seconds(f"phase.{name}", seconds)
 
-    def count(self, name: str, amount: int = 1) -> None:
-        """Bump an operation counter (flow calls, clique tests, …)."""
-        counters = self._counters
-        counters[name] = counters.get(name, 0) + amount
-        # Inlined obs.count: this runs on every flow call and merge
-        # test, and the extra frame shows up in the gated perf cases.
-        collector = obs._tls.collector
-        if not collector.is_noop:
-            collector.count(name, amount)
-
     def seconds(self, name: str) -> float:
         """Total seconds recorded for a phase (0.0 if never entered)."""
         return self._seconds.get(name, 0.0)
-
-    def counter(self, name: str) -> int:
-        """Current value of a counter (0 if never bumped)."""
-        return self._counters.get(name, 0)
 
     @property
     def phases(self) -> dict[str, float]:
         """A copy of the phase → seconds mapping."""
         return dict(self._seconds)
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """A copy of the counter → value mapping."""
-        return dict(self._counters)
 
     def total_seconds(self) -> float:
         """Sum over all recorded phases."""
@@ -139,7 +121,7 @@ class VCCResult:
     algorithm:
         Human-readable name of the configuration that produced this.
     timer:
-        Phase timings and counters collected during the run.
+        Per-phase wall-clock seconds collected during the run.
     status:
         One of :data:`RESULT_STATUSES` — how the run ended.
     checkpoint:
@@ -198,15 +180,14 @@ class VCCResult:
 
     def to_json(self) -> str:
         """Serialise to a JSON document (components, k, algorithm,
-        phase timings, counters). Vertex labels must be JSON-safe
-        (int/str — everything this library produces)."""
+        phase timings). Vertex labels must be JSON-safe (int/str —
+        everything this library produces)."""
         payload = {
             "algorithm": self.algorithm,
             "k": self.k,
             "status": self.status,
             "components": [sorted(c, key=repr) for c in self.components],
             "phases": self.timer.phases,
-            "counters": self.timer.counters,
         }
         if self.checkpoint is not None:
             payload["checkpoint"] = [
@@ -216,16 +197,17 @@ class VCCResult:
 
     @classmethod
     def from_json(cls, document: str) -> "VCCResult":
-        """Rebuild a result from :meth:`to_json` output."""
+        """Rebuild a result from :meth:`to_json` output.
+
+        A ``"counters"`` key, written by older versions, is ignored.
+        """
         try:
             payload = json.loads(document)
             timer = PhaseTimer()
-            # Write the internal dicts directly: deserialising archived
+            # Write the internal dict directly: deserialising archived
             # numbers must not leak into the live obs collector.
             for name, seconds in payload.get("phases", {}).items():
                 timer._seconds[str(name)] = float(seconds)
-            for name, value in payload.get("counters", {}).items():
-                timer._counters[str(name)] = int(value)
             checkpoint = payload.get("checkpoint")
             return cls(
                 components=[frozenset(c) for c in payload["components"]],

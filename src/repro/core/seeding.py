@@ -30,7 +30,6 @@ from collections.abc import Hashable
 from operator import countOf
 
 from repro import obs
-from repro.core.result import PhaseTimer
 from repro.errors import ParameterError
 from repro.flow.connectivity import find_vertex_cut, is_k_vertex_connected
 from repro.graph.adjacency import Graph
@@ -51,7 +50,6 @@ def lkvcs(
     k: int,
     start: Hashable,
     alpha: int = DEFAULT_ALPHA,
-    timer: PhaseTimer | None = None,
     max_failed_growths: int = 25,
 ) -> set | None:
     """Find one k-VCS containing ``start`` within its 2-hop ball, or None.
@@ -69,7 +67,6 @@ def lkvcs(
         raise ParameterError(f"k must be >= 2, got {k}")
     if alpha < 1:
         raise ParameterError(f"alpha must be >= 1, got {alpha}")
-    timer = timer or PhaseTimer()
     if graph.degree(start) < k:
         return None
     scope = graph.neighborhood([start], 2)
@@ -79,9 +76,9 @@ def lkvcs(
     for combo in itertools.islice(
         itertools.combinations(neighbors, k), alpha
     ):
-        timer.count("lkvcs_enumerations")
+        obs.count("seeding.lkvcs_enumerations")
         members = {start, *combo}
-        grown = _grow_candidate(ball, k, members, timer)
+        grown = _grow_candidate(ball, k, members)
         if grown is not None:
             return grown
         failures += 1
@@ -90,9 +87,7 @@ def lkvcs(
     return None
 
 
-def _grow_candidate(
-    ball: Graph, k: int, members: set, timer: PhaseTimer
-) -> set | None:
+def _grow_candidate(ball: Graph, k: int, members: set) -> set | None:
     """Greedily absorb ball vertices until a verified k-VCS or rejection.
 
     A candidate is worth verifying only once every member has internal
@@ -122,7 +117,7 @@ def _grow_candidate(
     max_growth = 4 * k + 8
     for _ in range(max_growth):
         if not short and len(members) > k:
-            timer.count("lkvcs_verifications")
+            obs.count("seeding.lkvcs_verifications")
             if is_k_vertex_connected(ball.subgraph(members), k):
                 return members
         if not counts:
@@ -145,10 +140,7 @@ def _grow_candidate(
 
 
 def kbfs_seeds(
-    graph: Graph,
-    k: int,
-    timer: PhaseTimer | None = None,
-    skip_inside: set | None = None,
+    graph: Graph, k: int, skip_inside: set | None = None
 ) -> list[set]:
     """Verified seeds from the k-round BFS forest construction.
 
@@ -161,7 +153,6 @@ def kbfs_seeds(
     vertices are seeded anyway and merging reassembles any larger
     structure, so the flow-based verification would be pure overhead.
     """
-    timer = timer or PhaseTimer()
     covered = skip_inside or set()
     pending = k_bfs_seed_components(graph, k)
     seeds: list[set] = []
@@ -170,7 +161,7 @@ def kbfs_seeds(
         if len(candidate) <= k:
             continue
         if candidate <= covered:
-            timer.count("kbfs_skipped_covered")
+            obs.count("seeding.kbfs_skipped_covered")
             continue
         sub = graph.subgraph(candidate)
         sub = k_core(sub, k)
@@ -180,7 +171,7 @@ def kbfs_seeds(
             if len(component) <= k:
                 continue
             piece = sub.subgraph(component)
-            timer.count("kbfs_verifications")
+            obs.count("seeding.kbfs_verifications")
             cut = find_vertex_cut(piece, k)
             if cut is None:
                 seeds.append(set(component))
@@ -192,15 +183,9 @@ def kbfs_seeds(
     return seeds
 
 
-def clique_seeds(
-    graph: Graph, k: int, timer: PhaseTimer | None = None
-) -> list[set]:
+def clique_seeds(graph: Graph, k: int) -> list[set]:
     """Seeds from maximal cliques of size ≥ k+1 (BK-MCQ stage)."""
-    timer = timer or PhaseTimer()
-    seeds = [set(c) for c in collect_cliques_at_least(graph, k + 1)]
-    if seeds:
-        timer.count("cliques_found", len(seeds))
-    return seeds
+    return [set(c) for c in collect_cliques_at_least(graph, k + 1)]
 
 
 def lkvcs_seeds(
@@ -208,14 +193,12 @@ def lkvcs_seeds(
     k: int,
     alpha: int = DEFAULT_ALPHA,
     covered: set | None = None,
-    timer: PhaseTimer | None = None,
 ) -> list[set]:
     """LkVCS sweep over all still-uncovered vertices (baseline seeding).
 
     Vertices are visited in non-decreasing degree order; every returned
     seed marks its members covered so later vertices skip.
     """
-    timer = timer or PhaseTimer()
     covered = set() if covered is None else set(covered)
     seeds: list[set] = []
     order = sorted(
@@ -224,7 +207,7 @@ def lkvcs_seeds(
     for vertex in order:
         if vertex in covered:
             continue
-        seed = lkvcs(graph, k, vertex, alpha=alpha, timer=timer)
+        seed = lkvcs(graph, k, vertex, alpha=alpha)
         if seed is not None:
             seeds.append(seed)
             covered |= seed
@@ -232,38 +215,31 @@ def lkvcs_seeds(
     return seeds
 
 
-def qkvcs(
-    graph: Graph,
-    k: int,
-    alpha: int = DEFAULT_ALPHA,
-    timer: PhaseTimer | None = None,
-) -> list[set]:
+def qkvcs(graph: Graph, k: int, alpha: int = DEFAULT_ALPHA) -> list[set]:
     """The paper's quick seeding (Algorithm 4): kBFS + BK-MCQ + fallback.
 
     Returns a deduplicated list of verified k-VCS seed sets. The
-    ``kbfs_covered`` / ``clique_covered`` counters feed Table VI.
+    ``seeding.kbfs_covered`` / ``seeding.clique_covered`` counters feed
+    Table VI.
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
-    timer = timer or PhaseTimer()
 
     # Cliques first: they are k-VCSs by construction (no verification),
     # and kBFS candidates wholly inside clique coverage can then skip
     # their expensive flow-based verification.
     with obs.start_span("seeding.cliques"):
-        from_cliques = clique_seeds(graph, k, timer=timer)
+        from_cliques = clique_seeds(graph, k)
         obs.set_span_attrs(seeds=len(from_cliques))
     clique_covered: set = (
         set().union(*from_cliques) if from_cliques else set()
     )
     with obs.start_span("seeding.kbfs"):
-        from_kbfs = kbfs_seeds(
-            graph, k, timer=timer, skip_inside=clique_covered
-        )
+        from_kbfs = kbfs_seeds(graph, k, skip_inside=clique_covered)
         obs.set_span_attrs(seeds=len(from_kbfs))
     kbfs_covered: set = set().union(*from_kbfs) if from_kbfs else set()
-    timer.count("kbfs_covered", len(kbfs_covered))
-    timer.count("clique_covered", len(clique_covered))
+    obs.count("seeding.kbfs_covered", len(kbfs_covered))
+    obs.count("seeding.clique_covered", len(clique_covered))
     obs.count("seeding.clique_seeds", len(from_cliques))
     obs.count("seeding.kbfs_seeds", len(from_kbfs))
 
@@ -278,12 +254,10 @@ def qkvcs(
         ]
     covered = kbfs_covered | clique_covered
     with obs.start_span("seeding.fallback"):
-        fallback = lkvcs_seeds(
-            graph, k, alpha=alpha, covered=covered, timer=timer
-        )
+        fallback = lkvcs_seeds(graph, k, alpha=alpha, covered=covered)
         obs.set_span_attrs(seeds=len(fallback))
-    timer.count(
-        "fallback_covered",
+    obs.count(
+        "seeding.fallback_covered",
         len(set().union(*fallback)) if fallback else 0,
     )
     obs.count("seeding.fallback_seeds", len(fallback))

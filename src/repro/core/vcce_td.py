@@ -34,34 +34,53 @@ def vcce_td(graph: Graph, k: int) -> VCCResult:
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     timer = PhaseTimer()
-    found: set[frozenset] = set()
     with obs.start_span("vcce_td.run", k=k):
         with timer.phase("partition", k=k):
-            pending: list[set] = [graph.vertex_set()]
-            while pending:
-                members = pending.pop()
-                if len(members) <= k:
-                    continue
-                sub = k_core(graph.subgraph(members), k)
-                timer.count("partitions")
-                for component in connected_components(sub):
-                    if len(component) <= k:
-                        continue
-                    piece = sub.subgraph(component)
-                    # One flat aggregate instead of a node per search:
-                    # deep recursions would otherwise bloat the tree.
-                    with obs.agg_span("vcce_td.cut_search"):
-                        cut = find_vertex_cut(piece, k)
-                    timer.count("cut_searches")
-                    if cut is None:
-                        found.add(frozenset(component))
-                        continue
-                    remainder = piece.subgraph(component - cut)
-                    for part in connected_components(remainder):
-                        pending.append(part | cut)
+            found = _partition(graph, k)
         with timer.phase("finalize"):
             components = _drop_nested(found)
     return VCCResult(components, k=k, algorithm="VCCE-TD", timer=timer)
+
+
+def _partition(
+    graph: Graph, k: int, certified: frozenset = frozenset()
+) -> set[frozenset]:
+    """The overlapped partition loop; returns every k-VCS it certifies.
+
+    A component found in ``certified`` (sets already known to be
+    k-vertex connected: VCCE-Hybrid's bottom-up result) is accepted
+    without a cut search.
+    """
+    found: set[frozenset] = set()
+    pending: list[set] = [graph.vertex_set()]
+    while pending:
+        members = pending.pop()
+        if len(members) <= k:
+            continue
+        sub = k_core(graph.subgraph(members), k)
+        obs.count("vcce_td.partitions")
+        for component in connected_components(sub):
+            if len(component) <= k:
+                continue
+            if certified:
+                frozen = frozenset(component)
+                if frozen in certified:
+                    obs.count("vcce_td.certifications_skipped")
+                    found.add(frozen)
+                    continue
+            piece = sub.subgraph(component)
+            # One flat aggregate instead of a node per search: deep
+            # recursions would otherwise bloat the tree.
+            with obs.agg_span("vcce_td.cut_search"):
+                cut = find_vertex_cut(piece, k)
+            obs.count("vcce_td.cut_searches")
+            if cut is None:
+                found.add(frozenset(component))
+                continue
+            remainder = piece.subgraph(component - cut)
+            for part in connected_components(remainder):
+                pending.append(part | cut)
+    return found
 
 
 def _drop_nested(found: set[frozenset]) -> list[frozenset]:

@@ -19,8 +19,8 @@ is the measurement layer those claims are checked against:
   :func:`start_span` / :func:`span_event` / :func:`agg_span`.
 
 The *active* collector is tracked per thread. Module-level
-:func:`count` / :func:`add_seconds` / :func:`span` delegate to it, so
-instrumentation sites never hold a collector reference:
+:func:`count` / :func:`add_seconds` / :func:`start_span` delegate to
+it, so instrumentation sites never hold a collector reference:
 
     from repro import obs
 
@@ -57,7 +57,6 @@ __all__ = [
     "observe",
     "set_collector",
     "set_span_attrs",
-    "span",
     "span_event",
     "spans",
     "start_span",
@@ -140,11 +139,6 @@ def observe(name: str, seconds: float) -> None:
     """Record one latency observation into a histogram on the active
     collector (a no-op under the null default)."""
     _tls.collector.observe(name, seconds)
-
-
-def span(name: str):
-    """Context manager timing its block on the active collector."""
-    return _tls.collector.span(name)
 
 
 def start_span(name: str, **attrs):

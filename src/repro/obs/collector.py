@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 from repro.errors import ParseError
 from repro.obs.histogram import Histogram
@@ -45,8 +44,7 @@ class Collector:
 
     >>> collector = Collector()
     >>> collector.count("flow.dinic.calls")
-    >>> with collector.span("seeding"):
-    ...     pass
+    >>> collector.add_seconds("phase.seeding", 0.5)
     >>> collector.counter("flow.dinic.calls")
     1
     """
@@ -84,10 +82,6 @@ class Collector:
     def add_seconds(self, name: str, seconds: float) -> None:
         """Accumulate wall-clock seconds into phase ``name``."""
         self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-
-    def span(self, name: str) -> "_Span":
-        """Context manager timing its block into phase ``name``."""
-        return _Span(self, name)
 
     def observe(self, name: str, seconds: float) -> None:
         """Record one latency observation into histogram ``name``.
@@ -373,41 +367,6 @@ class Collector:
         return collector
 
 
-class _Span:
-    """Context manager produced by :meth:`Collector.span`."""
-
-    __slots__ = ("_collector", "_name", "_start")
-
-    def __init__(self, collector: Collector, name: str) -> None:
-        self._collector = collector
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._collector.add_seconds(
-            self._name, time.perf_counter() - self._start
-        )
-
-
-class _NullSpan:
-    """Reusable do-nothing span for :class:`NullCollector`."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullCollector(Collector):
     """A collector that records nothing.
 
@@ -428,9 +387,6 @@ class NullCollector(Collector):
 
     def observe(self, name: str, seconds: float) -> None:
         pass
-
-    def span(self, name: str) -> "_NullSpan":  # type: ignore[override]
-        return _NULL_SPAN
 
     def enable_spans(
         self, max_spans: int | None = None

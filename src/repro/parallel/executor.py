@@ -96,11 +96,7 @@ def _merge_pair_task(
             sizes=[len(side_a), len(side_b)],
         ):
             verdict = flow_based_merge_condition(
-                _WORKER_GRAPH,
-                _WORKER_K,
-                set(side_a),
-                set(side_b),
-                PhaseTimer(),
+                _WORKER_GRAPH, _WORKER_K, set(side_a), set(side_b)
             )
             obs.set_span_attrs(accepted=verdict)
     return verdict, collector.snapshot()
@@ -291,7 +287,7 @@ def parallel_ripple(
                         return partial("deadline")
                     with timer.phase("seeding"):
                         components = _parallel_seeding(
-                            spool, core, k, alpha, config, timer
+                            spool, core, k, alpha, config
                         )
                 if budget.expired():
                     return partial("deadline")
@@ -321,11 +317,10 @@ def _parallel_seeding(
     k: int,
     alpha: int,
     config: ParallelConfig,
-    timer: PhaseTimer,
 ) -> list[set]:
     """QkVCS with parallel clique roots and parallel LkVCS fallback."""
     with obs.start_span("seeding.kbfs"):
-        seeds = [set(s) for s in kbfs_seeds(core, k, timer=timer)]
+        seeds = [set(s) for s in kbfs_seeds(core, k)]
     order = degeneracy_ordering(core)
     position = {u: i for i, u in enumerate(order)}
     payloads = [
@@ -380,7 +375,7 @@ def _merge_expand_loop(
     while True:
         before = {frozenset(c) for c in components}
         with timer.phase("merging"):
-            components = _parallel_merge(spool, core, k, components, timer)
+            components = _parallel_merge(spool, core, k, components)
         if budget.expired():
             return components, True
         with timer.phase("expansion"):
@@ -399,7 +394,7 @@ def _merge_expand_loop(
                     _absorb(stats)
                     expanded.append(set(grown))
             components = expanded
-        timer.count("rounds")
+        obs.count("pipeline.rounds")
         if {frozenset(c) for c in components} == before:
             return components, False
         if budget.expired():
@@ -407,11 +402,7 @@ def _merge_expand_loop(
 
 
 def _parallel_merge(
-    spool: SupervisedPool,
-    core: Graph,
-    k: int,
-    components: list[set],
-    timer: PhaseTimer,
+    spool: SupervisedPool, core: Graph, k: int, components: list[set]
 ) -> list[set]:
     """Rounds of concurrent pair checks + union-find application.
 
@@ -456,7 +447,7 @@ def _parallel_merge(
                     if ri != rj:
                         parent[rj] = ri
                         merged_any = True
-                        timer.count("merges")
+                        obs.count("parallel.unions")
         if not merged_any:
             return pool_sets
         groups: dict[int, set] = {}

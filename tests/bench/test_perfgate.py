@@ -178,7 +178,7 @@ class TestScripts:
         assert document["schema"] == "repro.obs/1"
         # The smoke case never reaches the LkVCS fallback; this run must.
         assert document["counters"]["seeding.fallback_seeds"] > 0
-        assert document["counters"]["lkvcs_enumerations"] > 0
+        assert document["counters"]["seeding.lkvcs_enumerations"] > 0
 
     def test_baseline_refuses_overwrite_without_refresh(self, tmp_path):
         target = tmp_path / "base.json"

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (
-    PhaseTimer,
     multiple_expansion,
     ring_expansion,
     unitary_expansion,
@@ -71,9 +71,9 @@ class TestUnitaryExpansion:
         g.add_edge(9, 0)
         g.add_edge(9, 1)
         g.add_edge(9, 2)
-        timer = PhaseTimer()
-        unitary_expansion(g, 3, {0, 1, 2, 3}, timer=timer)
-        assert timer.counter("ue_checks") >= 1
+        with obs.collecting() as collector:
+            unitary_expansion(g, 3, {0, 1, 2, 3})
+        assert collector.counter("expansion.ue.checks") >= 1
 
 
 class TestMultipleExpansion:
@@ -108,9 +108,9 @@ class TestMultipleExpansion:
 
     def test_flow_counter(self):
         g, seed = figure2_graph()
-        timer = PhaseTimer()
-        multiple_expansion(g, 3, seed, hops=1, timer=timer)
-        assert timer.counter("me_flow_calls") > 0
+        with obs.collecting() as collector:
+            multiple_expansion(g, 3, seed, hops=1)
+        assert collector.counter("expansion.me.flow_tests") > 0
 
     def test_invalid_hops(self):
         with pytest.raises(ParameterError):
@@ -170,9 +170,9 @@ class TestRingExpansion:
 
     def test_counters(self):
         g, seed = figure2_graph()
-        timer = PhaseTimer()
-        ring_expansion(g, 3, seed, timer=timer)
-        assert timer.counter("rme_cliques_absorbed") >= 1
+        with obs.collecting() as collector:
+            ring_expansion(g, 3, seed)
+        assert collector.counter("expansion.rme.cliques_absorbed") >= 1
 
 
 class TestStrategyHierarchy:
@@ -223,10 +223,10 @@ class TestCornerCases:
         grown = multiple_expansion(g, 3, set(range(5)), hops=None)
         assert grown == set(range(5))
 
-    def test_rme_timer_counts_consistent(self):
+    def test_rme_clique_counts_consistent(self):
         g = ue_trap_graph(3, tail=3, seed=4)
-        timer = PhaseTimer()
-        ring_expansion(g, 3, set(range(6)), timer=timer)
-        absorbed = timer.counter("rme_cliques_absorbed")
-        checks = timer.counter("rme_clique_checks")
+        with obs.collecting() as collector:
+            ring_expansion(g, 3, set(range(6)))
+        absorbed = collector.counter("expansion.rme.cliques_absorbed")
+        checks = collector.counter("expansion.rme.clique_checks")
         assert checks >= absorbed >= 1

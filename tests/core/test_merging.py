@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (
-    PhaseTimer,
     flow_based_merge_condition,
     merge_components,
     neighbor_based_merge_condition,
@@ -46,28 +46,26 @@ def k_merged_pair(k: int = 3) -> tuple[Graph, set, set]:
 class TestNBM:
     def test_fires_on_true_merge(self):
         g, a, b = k_merged_pair(3)
-        assert neighbor_based_merge_condition(g, 3, a, b, PhaseTimer())
+        assert neighbor_based_merge_condition(g, 3, a, b)
 
     def test_overcounts_two_star(self):
         # The deliberate defect: NBM merges although connectivity is 2.
         g, a, b = figure3_like(3)
-        assert neighbor_based_merge_condition(g, 3, a, b, PhaseTimer())
+        assert neighbor_based_merge_condition(g, 3, a, b)
         assert not is_k_vertex_connected(g.subgraph(a | b), 3)
 
     def test_refuses_disjoint(self):
         g = Graph.from_edges([(0, 1), (2, 3)])
-        assert not neighbor_based_merge_condition(
-            g, 2, {0, 1}, {2, 3}, PhaseTimer()
-        )
+        assert not neighbor_based_merge_condition(g, 2, {0, 1}, {2, 3})
 
 
 class TestFBM:
     def test_fires_on_true_merge(self):
         g, a, b = k_merged_pair(3)
-        timer = PhaseTimer()
-        assert flow_based_merge_condition(g, 3, a, b, timer)
+        with obs.collecting() as collector:
+            assert flow_based_merge_condition(g, 3, a, b)
         # The ≥ k overlap short-circuits before any flow is computed.
-        assert timer.counter("fbm_flow_calls") == 0
+        assert collector.counter("merge.flow_tests") == 0
 
     def test_fires_via_flow_without_overlap(self):
         # Two K4s joined by 3 disjoint cross edges: union is 3-connected.
@@ -78,19 +76,19 @@ class TestFBM:
         for i in range(3):
             g.add_edge(i, 4 + i)
         a, b = set(range(4)), set(range(4, 8))
-        timer = PhaseTimer()
-        assert flow_based_merge_condition(g, 3, a, b, timer)
-        assert timer.counter("fbm_flow_calls") == 1
+        with obs.collecting() as collector:
+            assert flow_based_merge_condition(g, 3, a, b)
+        assert collector.counter("merge.flow_tests") == 1
         assert is_k_vertex_connected(g.subgraph(a | b), 3)
 
     def test_refuses_two_star(self):
         g, a, b = figure3_like(3)
-        assert not flow_based_merge_condition(g, 3, a, b, PhaseTimer())
+        assert not flow_based_merge_condition(g, 3, a, b)
 
     def test_refuses_thin_bridge(self):
         g = community_graph([10, 10], k=3, seed=4, bridge_width=2)
         a, b = set(range(10)), set(range(10, 20))
-        assert not flow_based_merge_condition(g, 3, a, b, PhaseTimer())
+        assert not flow_based_merge_condition(g, 3, a, b)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=10, deadline=None)
@@ -98,8 +96,7 @@ class TestFBM:
         g = planted_kvcc_graph(2, 14, 3, seed=seed, bridge_width=2)
         a = set(range(14))
         b = set(range(14, 28))
-        timer = PhaseTimer()
-        if flow_based_merge_condition(g, 3, a, b, timer):
+        if flow_based_merge_condition(g, 3, a, b):
             assert is_k_vertex_connected(g.subgraph(a | b), 3)
 
 
@@ -128,9 +125,9 @@ class TestMergeComponents:
 
     def test_counts_merges(self):
         g, a, b = k_merged_pair(3)
-        timer = PhaseTimer()
-        merge_components(g, 3, [a, b], flow_based_merge_condition, timer)
-        assert timer.counter("merges") == 1
+        with obs.collecting() as collector:
+            merge_components(g, 3, [a, b], flow_based_merge_condition)
+        assert collector.counter("merge.tests_accepted") == 1
 
     def test_invalid_k(self):
         with pytest.raises(ParameterError):

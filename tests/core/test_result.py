@@ -1,5 +1,6 @@
 """Tests for VCCResult and PhaseTimer."""
 
+import json
 import time
 
 from repro.core import PhaseTimer, VCCResult
@@ -16,11 +17,10 @@ class TestPhaseTimer:
         assert timer.seconds("other") == 0.0
 
     def test_counters(self):
-        timer = PhaseTimer()
-        timer.count("flows")
-        timer.count("flows", 4)
-        assert timer.counter("flows") == 5
-        assert timer.counter("nothing") == 0
+        # Operation counts go to the repro.obs collector only; the
+        # timer keeps phase seconds.
+        for name in ("count", "counter", "counters", "_counters"):
+            assert not hasattr(PhaseTimer(), name)
 
     def test_proportions_sum_to_one(self):
         timer = PhaseTimer()
@@ -42,10 +42,10 @@ class TestPhaseTimer:
 
     def test_copies_are_snapshots(self):
         timer = PhaseTimer()
-        timer.count("x")
-        counters = timer.counters
-        timer.count("x")
-        assert counters["x"] == 1
+        timer.add_seconds("x", 1.0)
+        phases = timer.phases
+        timer.add_seconds("x", 1.0)
+        assert phases["x"] == 1.0
 
 
 class TestVCCResult:
@@ -83,16 +83,34 @@ class TestJsonRoundTrip:
 
         timer = PhaseTimer()
         timer.add_seconds("seeding", 1.25)
-        timer.count("merges", 3)
         result = VCCResult(
             [{1, 2, 3}, {"a", "b"}], k=3, algorithm="RIPPLE", timer=timer
         )
-        back = VCCResult.from_json(result.to_json())
+        document = result.to_json()
+        assert "counters" not in json.loads(document)
+        back = VCCResult.from_json(document)
         assert back.components == result.components
         assert back.k == 3
         assert back.algorithm == "RIPPLE"
         assert back.timer.seconds("seeding") == 1.25
-        assert back.timer.counter("merges") == 3
+
+    def test_archived_counters_key_still_loads(self):
+        # Results written before counting moved to repro.obs carry a
+        # "counters" key; they keep loading (e.g. in `ripple verify`).
+        document = json.dumps(
+            {
+                "algorithm": "RIPPLE",
+                "k": 3,
+                "status": "completed",
+                "components": [[1, 2, 3, 4]],
+                "phases": {"seeding": 0.5},
+                "counters": {"merges": 3, "rounds": 2},
+            }
+        )
+        back = VCCResult.from_json(document)
+        assert back.components == [frozenset({1, 2, 3, 4})]
+        assert back.timer.phases == {"seeding": 0.5}
+        assert "counters" not in json.loads(back.to_json())
 
     def test_bad_document_raises(self):
         import pytest

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import (
-    PhaseTimer,
     clique_seeds,
     kbfs_seeds,
     lkvcs,
@@ -38,7 +38,7 @@ def _reference_external_boundary(graph, members):
     return ring
 
 
-def _reference_grow_candidate(ball, k, members, timer):
+def _reference_grow_candidate(ball, k, members):
     """LkVCS growth as it was before incremental counts (the pick oracle).
 
     Every step rebuilds the frontier and rescores members and frontier
@@ -51,7 +51,7 @@ def _reference_grow_candidate(ball, k, members, timer):
             len(ball.neighbors(u) & members) >= k for u in members
         )
         if internal_ok:
-            timer.count("lkvcs_verifications")
+            obs.count("seeding.lkvcs_verifications")
             if is_k_vertex_connected(ball.subgraph(members), k):
                 return members
         frontier = _reference_external_boundary(ball, members)
@@ -83,9 +83,9 @@ def _with_str_copy(graph):
     return graph, relabelled
 
 
-def _lkvcs_counts(timer):
-    names = ("lkvcs_enumerations", "lkvcs_verifications")
-    return [timer.counter(name) for name in names]
+def _lkvcs_counts(collector):
+    names = ("seeding.lkvcs_enumerations", "seeding.lkvcs_verifications")
+    return [collector.counter(name) for name in names]
 
 
 _FAMILIES = st.sampled_from(["gnm", "powerlaw", "community"])
@@ -111,9 +111,9 @@ class TestLkvcs:
 
     def test_alpha_caps_enumeration(self):
         g = clique_graph(12)
-        timer = PhaseTimer()
-        lkvcs(g, 3, 0, alpha=5, timer=timer)
-        assert timer.counter("lkvcs_enumerations") <= 5
+        with obs.collecting() as collector:
+            lkvcs(g, 3, 0, alpha=5)
+        assert collector.counter("seeding.lkvcs_enumerations") <= 5
 
     def test_invalid_params(self):
         with pytest.raises(ParameterError):
@@ -147,15 +147,14 @@ class TestLkvcsGrowthMatchesReference:
     def test_every_start_matches_reference(self, family, seed, k):
         for graph in _with_str_copy(_tie_rich_graph(family, seed)):
             for start in graph.vertices():
-                timer = PhaseTimer()
-                got = lkvcs(graph, k, start, timer=timer)
-                reference_timer = PhaseTimer()
-                with mock.patch.object(
+                with obs.collecting() as collector:
+                    got = lkvcs(graph, k, start)
+                with obs.collecting() as reference, mock.patch.object(
                     seeding, "_grow_candidate", _reference_grow_candidate
                 ):
-                    want = lkvcs(graph, k, start, timer=reference_timer)
+                    want = lkvcs(graph, k, start)
                 assert got == want, (start, k)
-                assert _lkvcs_counts(timer) == _lkvcs_counts(reference_timer)
+                assert _lkvcs_counts(collector) == _lkvcs_counts(reference)
 
     @given(
         family=_FAMILIES,
@@ -219,11 +218,11 @@ class TestQkvcs:
 
     def test_coverage_counters(self):
         g = community_graph([24, 24], k=3, seed=0)
-        timer = PhaseTimer()
-        qkvcs(g, 3, timer=timer)
-        assert timer.counter("clique_covered") > 0
+        with obs.collecting() as collector:
+            qkvcs(g, 3)
+        assert collector.counter("seeding.clique_covered") > 0
         # every vertex is in a (k+1)-clique in a clique ring
-        assert timer.counter("clique_covered") == g.num_vertices
+        assert collector.counter("seeding.clique_covered") == g.num_vertices
 
     def test_no_duplicate_or_nested_seeds(self):
         g = community_graph([20], k=3, seed=3)

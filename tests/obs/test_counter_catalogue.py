@@ -1,10 +1,12 @@
 """docs/observability.md's counter catalogue matches the code.
 
-For the flow, graph, expansion, merge and certificate layers, every
-catalogue row names a counter some ``obs.count("...")`` literal in
-``src/`` emits, and every such literal has a row — so removing a code
-path cannot leave its counters documented, and a new counter cannot
-ship undocumented.
+For every enumeration layer (flow, graph, certificate, seeding,
+expansion, merge, pipeline, parallel, VCCE-TD) and the resilience
+layer, every catalogue row names a counter some ``obs.count("...")``
+literal in ``src/`` emits, and every such literal has a row — so
+removing a code path cannot leave its counters documented, and a new
+counter cannot ship undocumented. Every counter name is dotted
+(``layer.event``), so an unprefixed name cannot come back.
 """
 
 import ast
@@ -13,7 +15,18 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 
-PREFIXES = ("flow.", "graph.", "expansion.", "merge.", "certificate.")
+PREFIXES = (
+    "flow.",
+    "graph.",
+    "certificate.",
+    "seeding.",
+    "expansion.",
+    "merge.",
+    "pipeline.",
+    "parallel.",
+    "vcce_td.",
+    "resilience.",
+)
 
 
 def _names_in(node: ast.expr) -> set[str]:
@@ -25,7 +38,8 @@ def _names_in(node: ast.expr) -> set[str]:
     return set()
 
 
-def _emitted() -> set[str]:
+def _literals() -> set[str]:
+    """Every counter-name literal passed to ``obs.count`` in ``src/``."""
     names: set[str] = set()
     for path in (REPO / "src").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -38,7 +52,11 @@ def _emitted() -> set[str]:
                 and node.args
             ):
                 names |= _names_in(node.args[0])
-    return {name for name in names if name.startswith(PREFIXES)}
+    return names
+
+
+def _emitted() -> set[str]:
+    return {name for name in _literals() if name.startswith(PREFIXES)}
 
 
 def _catalogued() -> set[str]:
@@ -58,6 +76,13 @@ def test_every_catalogued_counter_is_emitted():
 
 def test_every_emitted_counter_is_catalogued():
     emitted = _emitted()
-    assert len(emitted) >= 20  # the scan found the instrumented layers
+    assert len(emitted) >= 60  # the scan found the instrumented layers
     missing = emitted - _catalogued()
     assert not missing, f"counters without a catalogue row: {sorted(missing)}"
+
+
+def test_every_counter_name_is_dotted():
+    literals = _literals()
+    assert len(literals) >= 80  # the scan reached serving.* too
+    bare = sorted(name for name in literals if "." not in name)
+    assert not bare, f"counter names without a layer prefix: {bare}"

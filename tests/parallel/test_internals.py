@@ -1,6 +1,5 @@
 """Unit tests for the parallel executor's internal building blocks."""
 
-from repro.core import PhaseTimer
 from repro.graph import Graph, clique_graph, community_graph
 from repro.parallel.executor import (
     _chunks,
@@ -75,6 +74,5 @@ class TestUnionFindMerge:
         merged = _parallel_merge(
             _Inline(), g, 3,
             [set(range(6)), set(range(3, 9)), set(range(6, 12))],
-            PhaseTimer(),
         )
         assert merged == [set(range(12))]

@@ -214,6 +214,25 @@ class TestStats:
         assert payload["status"] == "completed"
         Collector.from_json(target.read_text(encoding="utf-8"))  # parses
 
+    def test_parallel_worker_counts_reach_the_stats(self, tmp_path, capsys):
+        # Work done inside worker tasks (FBM flows, LkVCS enumerations)
+        # is counted in the stats document; the result JSON carries no
+        # second, orchestrator-only copy of the counters.
+        import json
+
+        graph = str(tmp_path / "sc.txt")
+        result = tmp_path / "r.json"
+        stats = tmp_path / "s.json"
+        assert main(["generate", "sc-shipsec", "-o", graph]) == 0
+        assert main(["enumerate", graph, "-k", "4", "--algorithm",
+                     "parallel-ripple", "--backend", "thread", "--quiet",
+                     "--json", str(result), "--stats-json",
+                     str(stats)]) == 0
+        assert "counters" not in json.loads(result.read_text("utf-8"))
+        counters = json.loads(stats.read_text("utf-8"))["counters"]
+        assert counters["merge.flow_tests"] > 0
+        assert counters["seeding.lkvcs_enumerations"] > 0
+
 
 class TestDatasets:
     def test_lists_all(self, capsys):

@@ -17,7 +17,6 @@ import pytest
 from repro import obs
 from repro.core.expansion import _shrink_candidates, multiple_expansion
 from repro.core.merging import flow_based_merge_condition, merge_components
-from repro.core.result import PhaseTimer
 from repro.core.ripple import ripple, ripple_me
 from repro.core.vcce_td import vcce_td
 from repro.core.verify import verify_result
@@ -152,7 +151,7 @@ class TestCounters:
         candidates = {4, 5, 6, 7, 100, 101}
         with obs.collecting() as collector:
             survivors = _shrink_candidates(
-                graph, 3, {0, 1, 2, 3}, candidates, PhaseTimer()
+                graph, 3, {0, 1, 2, 3}, candidates
             )
         assert survivors == {4, 5, 6, 7}
         assert collector.counter("expansion.me.filter_passes") == 2
@@ -178,7 +177,7 @@ class TestCounters:
         side_b = set(range(20, 40))
         with obs.collecting() as collector:
             verdict = flow_based_merge_condition(
-                graph, 3, side_a, side_b, PhaseTimer()
+                graph, 3, side_a, side_b
             )
         assert verdict is True
         assert collector.counter("certificate.activations") > 0

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.core.expansion import SIGMA, multiple_expansion
 from repro.core.merging import flow_based_merge_condition
-from repro.core.result import PhaseTimer
 from repro.flow import (
     VertexSplitNetwork,
     is_k_vertex_connected,
@@ -147,7 +146,7 @@ class TestTheorem3FlowBasedMerging:
         ):
             return
         if flow_based_merge_condition(
-            graph, k, side_a, side_b, PhaseTimer()
+            graph, k, side_a, side_b
         ):
             assert is_k_vertex_connected(
                 graph.subgraph(side_a | side_b), k
