@@ -10,12 +10,14 @@ machine-speed differences (see ``repro.bench.perfgate``). Refusing to
 overwrite without ``--refresh`` keeps an accidental local run from
 silently moving the goalposts.
 
-Two ``repro.obs/1`` stats baselines are written next to it for the CI
-perf-gate job's ``ripple stats diff``: ``smoke_stats.json`` (the
-planted smoke case) and ``seeding_stats.json`` (RIPPLE on the
-``cit-patent`` stand-in at k=4). The smoke graph never reaches the
-LkVCS fallback; the stand-in makes 42 LkVCS enumerations and 4
-fallback seeds, so seeding drift shows in the second diff.
+Three ``repro.obs/1`` stats baselines are written next to it for the
+CI perf-gate job's ``ripple stats diff``: ``smoke_stats.json`` (the
+planted smoke case), ``seeding_stats.json`` (RIPPLE on the
+``cit-patent`` stand-in at k=4) and ``index_stats.json`` (``ripple
+index build`` on the ``sc-shipsec`` stand-in). The smoke graph never
+reaches the LkVCS fallback; the stand-in makes 42 LkVCS enumerations
+and 4 fallback seeds, so seeding drift shows in the second diff, and
+k-VCC hierarchy drift in the third.
 """
 
 from __future__ import annotations
@@ -79,9 +81,15 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     seeding_stats_output = args.output.with_name("seeding_stats.json")
+    index_stats_output = args.output.with_name("index_stats.json")
 
     if not args.refresh:
-        for existing in (args.output, args.stats_output, seeding_stats_output):
+        for existing in (
+            args.output,
+            args.stats_output,
+            seeding_stats_output,
+            index_stats_output,
+        ):
             if existing.exists():
                 print(
                     f"error: {existing} exists; pass --refresh to overwrite",
@@ -114,6 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"stats baseline written to {args.stats_output}")
     _seeding_stats_baseline(seeding_stats_output)
     print(f"seeding stats baseline written to {seeding_stats_output}")
+    _index_stats_baseline(index_stats_output)
+    print(f"index stats baseline written to {index_stats_output}")
     return 0
 
 
@@ -139,18 +149,34 @@ def _seeding_stats_baseline(path: Path) -> None:
     the CI step: a graph loaded from its edge list inserts vertices in
     another order than the generator does, which moves flow counters.
     """
-    from repro import cli
-
     with tempfile.TemporaryDirectory() as tmp:
         edges = str(Path(tmp) / "cit-patent.edges")
-        for argv in (
-            ["generate", "cit-patent", "-o", edges],
-            ["enumerate", edges, "-k", "4", "--quiet", "--stats-json", str(path)],
-        ):
-            with contextlib.redirect_stdout(io.StringIO()):
-                status = cli.main(argv)
-            if status != 0:
-                raise SystemExit(f"ripple {argv[0]} exited with {status}")
+        _ripple(["generate", "cit-patent", "-o", edges])
+        _ripple(
+            ["enumerate", edges, "-k", "4", "--quiet", "--stats-json", str(path)]
+        )
+
+
+def _index_stats_baseline(path: Path) -> None:
+    """Write the stats document of the CI index build: the k-VCC
+    hierarchy of the ``sc-shipsec`` stand-in, through the same
+    ``ripple generate`` / ``ripple --stats-json FILE index build``
+    commands as the CI step."""
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = str(Path(tmp) / "sc-shipsec.edges")
+        index = str(Path(tmp) / "sc-shipsec.index.json")
+        _ripple(["generate", "sc-shipsec", "-o", edges])
+        _ripple(["--stats-json", str(path), "index", "build", edges, "-o", index])
+
+
+def _ripple(argv: list[str]) -> None:
+    """Run one ``ripple`` command in-process, quietly; exit on failure."""
+    from repro import cli
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main(argv)
+    if status != 0:
+        raise SystemExit(f"ripple {' '.join(argv)} exited with {status}")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ from repro.bench.experiments import (
     fig8_rows,
     fig9_rows,
     fig10_rows,
-    k_max,
     run_with_stats,
     table2_rows,
     table3_rows,
@@ -25,7 +24,6 @@ __all__ = [
     "fig9_rows",
     "format_value",
     "grouped_bar_chart",
-    "k_max",
     "measure_peak_memory",
     "render_series",
     "render_table",

@@ -20,6 +20,7 @@ from collections.abc import Callable, Sequence
 
 from repro import obs
 from repro.bench.memory import measure_peak_memory
+from repro.core.hierarchy import max_kvcc_level
 from repro.core.result import VCCResult
 from repro.core.ripple import (
     ripple,
@@ -34,7 +35,7 @@ from repro.core.vcce_td import vcce_td
 from repro.datasets.registry import DATASETS, Dataset
 from repro.flow.connectivity import is_k_vertex_connected
 from repro.graph.adjacency import Graph
-from repro.graph.kcore import degeneracy, k_core
+from repro.graph.kcore import k_core
 from repro.metrics.accuracy import accuracy_report
 from repro.parallel.executor import ParallelConfig, parallel_ripple
 from repro.resilience.deadline import Deadline, as_deadline
@@ -44,7 +45,6 @@ __all__ = [
     "fig7_series",
     "fig8_rows",
     "fig9_rows",
-    "k_max",
     "run_with_stats",
     "table2_rows",
     "table3_rows",
@@ -74,19 +74,6 @@ def run_with_stats(action: Callable[[], object]) -> tuple[object, dict]:
     return value, json.loads(collector.to_json())
 
 
-def k_max(graph: Graph) -> int:
-    """The largest k for which a k-VCC exists (Table II's last column).
-
-    Scans downward from the degeneracy (an upper bound: every vertex of
-    a k-VCC has degree ≥ k inside it, so the k-core — hence the
-    degeneracy — bounds k).
-    """
-    for k in range(degeneracy(graph), 1, -1):
-        if vcce_td(graph, k).components:
-            return k
-    return 1
-
-
 def table2_rows() -> list[list]:
     """Table II: dataset statistics."""
     rows = []
@@ -99,7 +86,7 @@ def table2_rows() -> list[list]:
                 graph.num_vertices,
                 graph.num_edges,
                 round(graph.average_degree(), 2),
-                k_max(graph),
+                max_kvcc_level(graph),
             ]
         )
     return rows

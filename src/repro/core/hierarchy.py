@@ -7,12 +7,23 @@ exactly this — the same 16-vertex graph decomposed at k = 1, 2, 3, 4.
 each level's components rather than re-scanning the whole graph, so the
 work at level k+1 is confined to the (usually much smaller) level-k
 components.
+
+Each component's cut search also measures its connectivity
+c = κ(G[C]) (``vcce_td(..., upper=)``), and two facts reuse that
+number instead of certifying C again at every level:
+
+* C is the only j-VCC inside C for every level j ≤ c, so C is carried
+  up unchanged until level c;
+* a minimum vertex cut W of G[C] confines every (c+1)-VCC inside C to
+  ``part ∪ W`` for one connected component ``part`` of G[C] − W, so
+  level c+1 searches those parts instead of C.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 
+from repro import obs
 from repro.core.vcce_td import vcce_td
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
@@ -38,28 +49,33 @@ def kvcc_hierarchy(
     if max_k is not None and max_k < 1:
         raise ParameterError(f"max_k must be >= 1, got {max_k}")
     levels: dict[int, list[frozenset]] = {}
-    level_one = [
-        frozenset(c)
-        for c in connected_components(graph)
-        if len(c) > 1
-    ]
-    if not level_one:
-        return levels
-    levels[1] = sorted(level_one, key=lambda c: (-len(c), sorted(map(repr, c))))
-    k = 2
-    current = levels[1]
-    while current and (max_k is None or k <= max_k):
-        next_level: list[frozenset] = []
-        for parent in current:
-            sub = graph.subgraph(parent)
-            next_level.extend(vcce_td(sub, k).components)
-        if not next_level:
-            break
-        levels[k] = sorted(
-            set(next_level), key=lambda c: (-len(c), sorted(map(repr, c)))
-        )
-        current = levels[k]
+    # Each component of the current level with its (min(κ, upper), cut)
+    # from vcce_td. Level 1's components are connected (κ ≥ 1) and
+    # nothing more is measured about them.
+    current: dict[frozenset, tuple[int, set | None]] = {
+        frozenset(c): (1, None) for c in connected_components(graph) if len(c) > 1
+    }
+    k = 1
+    while current:
+        levels[k] = sorted(current, key=lambda c: (-len(c), sorted(map(repr, c))))
         k += 1
+        if max_k is not None and k > max_k:
+            break
+        found: dict[frozenset, tuple[int, set | None]] = {}
+        for parent, (bound, witness) in current.items():
+            if bound >= k:
+                obs.count("hierarchy.carried")
+                found[parent] = (bound, witness)
+                continue
+            pieces = [parent]
+            if witness is not None:  # a minimum cut: |witness| = κ = k - 1
+                rest = graph.subgraph(parent - witness)
+                pieces = [part | witness for part in connected_components(rest)]
+            for piece in pieces:
+                upper = len(piece) if max_k is None else max_k
+                result = vcce_td(graph.subgraph(piece), k, upper=upper)
+                found.update(result.connectivity)
+        current = found
     return levels
 
 

@@ -44,7 +44,7 @@ def vcce_hybrid(graph: Graph, k: int, alpha: int = 1000) -> VCCResult:
         heuristic = ripple(graph, k, alpha=alpha)
     with timer.phase("partition"):
         found = _partition(
-            graph, k, certified=frozenset(heuristic.components)
+            graph, k, k, certified=frozenset(heuristic.components)
         )
     with timer.phase("finalize"):
         components = _drop_nested(found)

@@ -129,6 +129,9 @@ class VCCResult:
         (supersets-in-progress, not yet finalized); feed it back via
         ``resume_from=`` to continue the enumeration. ``None`` for
         completed runs.
+    connectivity:
+        ``vcce_td(..., upper=)`` only: each component's
+        ``(min(κ, upper), cut)``. Not serialised.
     """
 
     components: list[frozenset]
@@ -137,6 +140,7 @@ class VCCResult:
     timer: PhaseTimer = field(default_factory=PhaseTimer)
     status: str = "completed"
     checkpoint: list[frozenset] | None = None
+    connectivity: dict[frozenset, tuple[int, set | None]] | None = None
 
     def __post_init__(self) -> None:
         if self.status not in RESULT_STATUSES:

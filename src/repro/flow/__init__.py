@@ -2,6 +2,7 @@
 
 from repro.flow import fastpath
 from repro.flow.connectivity import (
+    connectivity_search,
     find_vertex_cut,
     global_vertex_connectivity,
     is_k_vertex_connected,
@@ -19,6 +20,7 @@ __all__ = [
     "Dinic",
     "EvenTarjan",
     "VertexSplitNetwork",
+    "connectivity_search",
     "fastpath",
     "find_vertex_cut",
     "global_vertex_connectivity",

@@ -4,12 +4,13 @@ Implements the Even–Tarjan strategy the top-down baseline needs:
 
 * :func:`local_connectivity` — κ(u, v, G), the size of a minimum vertex
   cut separating u from v (∞ for adjacent pairs, Definition 4).
-* :func:`find_vertex_cut` — a vertex cut of size < k if one exists
-  (the partitioning step of VCCE-TD).
+* :func:`connectivity_search` — one bounded search that finds a vertex
+  cut of size < k if one exists (the partitioning step of VCCE-TD) and
+  otherwise measures κ(G) up to a cap (the k-VCC hierarchy);
+  :func:`find_vertex_cut` is its ``upper = k`` case.
 * :func:`is_k_vertex_connected` — the verification predicate used to
   certify seeds and final components.
-* :func:`global_vertex_connectivity` — κ(G), mostly for tests and the
-  k_max statistic of Table II.
+* :func:`global_vertex_connectivity` — κ(G), the uncapped search.
 
 The pivot trick: fix any vertex ``u``. Every vertex cut either misses
 ``u`` — then it separates ``u`` from some non-neighbour ``v`` and
@@ -31,6 +32,7 @@ from repro.graph.traversal import is_connected
 __all__ = [
     "local_connectivity",
     "local_connectivity_at_least",
+    "connectivity_search",
     "find_vertex_cut",
     "is_k_vertex_connected",
     "is_k_vertex_connected_subset",
@@ -72,41 +74,62 @@ def find_vertex_cut(
 
     The input must be connected (VCCE-TD splits into connected
     components before calling this). Complete graphs have no vertex
-    cut at all and always return None.
+    cut at all and always return None. This is
+    :func:`connectivity_search` with ``upper = k``.
+    """
+    return connectivity_search(graph, k, k, certificate)[0]
+
+
+def connectivity_search(
+    graph: Graph, k: int, upper: int, certificate: bool = True
+) -> tuple[set | None, int]:
+    """One cut search that also measures κ(G) up to ``upper``.
+
+    Returns ``(cut, bound)``. A cut of size < k ends the search at once,
+    with ``bound = len(cut)``. Otherwise ``bound = min(κ(G), upper)``
+    and ``cut`` is a minimum vertex cut of exactly that size, or None
+    when no cut below ``upper`` exists (a complete graph has none). The
+    input must be connected.
+
+    The search keeps a threshold, starting at min(upper, δ) with the
+    minimum-degree vertex's neighbourhood as its cut, and each flow
+    only asks whether a cut below the threshold exists; a smaller cut
+    lowers the threshold to its size. With ``upper = k`` it runs
+    exactly the flows of VCCE-TD's partitioning step.
 
     With ``certificate`` (the default), dense inputs are first reduced
     to their Cheriyan–Kao–Thurimella sparse certificate of at most
-    ``k(n-1)`` edges: the certificate has a cut of size < k iff the
-    graph does, and any such cut of the certificate is a valid cut of
-    the graph — so all flow work happens on the sparse subgraph (Wen
+    ``upper(n-1)`` edges: the certificate has a cut of size < upper iff
+    the graph does, and any such cut of the certificate is a valid cut
+    of the graph — so all flow work happens on the sparse subgraph (Wen
     et al.'s optimisation).
     """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= upper:
+        raise ParameterError(f"need 1 <= k <= upper, got {k} and {upper}")
     n = graph.num_vertices
     if n <= 1:
-        return None
+        return None, 0
     if not is_connected(graph):
-        raise ParameterError("find_vertex_cut requires a connected graph")
+        raise ParameterError("connectivity_search requires a connected graph")
     if graph.num_edges == n * (n - 1) // 2:
-        return None  # complete graph: no cut exists at any size
-    if certificate and graph.num_edges > k * (n - 1):
+        return None, min(n - 1, upper)  # complete: no cut at any size
+    if certificate and graph.num_edges > upper * (n - 1):
         from repro.graph.forests import sparse_certificate
 
-        return find_vertex_cut(
-            sparse_certificate(graph, k), k, certificate=False
-        )
+        graph = sparse_certificate(graph, upper)
 
-    # Pivot on a minimum-degree vertex: if d(u) < k its neighbourhood is
-    # already a small cut (u has a non-neighbour since G is incomplete).
+    # Pivot on a minimum-degree vertex: its neighbourhood is already a
+    # cut of size δ (it has a non-neighbour since G is incomplete).
     # A simplicial pivot (clique neighbourhood) of similarly small
     # degree is even better: no minimal vertex cut can contain it (its
     # cut membership would force an edge across the separation), so the
     # quadratic neighbour-pair phase disappears entirely.
     pivot = min(graph.vertices(), key=graph.degree)
     min_degree = graph.degree(pivot)
-    if min_degree < k:
-        return set(graph.neighbors(pivot))
+    threshold = min(upper, min_degree)
+    best = set(graph.neighbors(pivot)) if threshold < upper else None
+    if threshold < k:
+        return best, threshold
     pivot_is_simplicial = _is_simplicial(graph, pivot)
     if not pivot_is_simplicial:
         for candidate in graph.vertices():
@@ -117,25 +140,67 @@ def find_vertex_cut(
                 pivot_is_simplicial = True
                 break
 
+    # Wen et al.'s deposit sweep. ``certified`` holds vertices known to
+    # be threshold-connected to the pivot, seeded with its neighbours
+    # (adjacent ⇒ κ = ∞). A vertex with ≥ threshold certified neighbours
+    # is certified without a flow: a smaller cut leaves one of them on
+    # the pivot's side, and the edge to it pins the vertex there too.
+    # Lowering the threshold keeps every certification valid.
     network = VertexSplitNetwork(graph)
-    pivot_nbrs = set(graph.neighbors(pivot))
-    cut_or_none = _certified_sweep(graph, network, pivot, k)
-    if cut_or_none is not None:
-        return cut_or_none
+    certified = set(graph.neighbors(pivot)) | {pivot}
+    deposits = {
+        v: len(graph.neighbors(v) & certified)
+        for v in graph.vertices()
+        if v not in certified
+    }
+
+    def certify(start: Hashable) -> None:
+        certified.add(start)
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in graph.neighbors(u):
+                if w in certified:
+                    continue
+                deposits[w] += 1
+                if deposits[w] >= threshold:
+                    certified.add(w)
+                    stack.append(w)
+
+    def flush() -> None:
+        """Certify the vertices already saturated at the threshold."""
+        for v in sorted(deposits, key=repr):
+            if v not in certified and deposits[v] >= threshold:
+                certify(v)
+
+    flush()
+    for v in graph.vertices():
+        if v in certified:
+            continue
+        cut = network.vertex_cut_if_below(pivot, v, threshold)
+        if cut is not None:
+            threshold, best = len(cut), cut
+            if threshold < k:
+                return best, threshold
+        certify(v)
+        if cut is not None:
+            flush()
     if pivot_is_simplicial:
-        return None  # no cut avoids the pivot, and none can contain it
-    # Any remaining small cut must contain the pivot and separate two of
+        return best, threshold  # no minimal cut can contain the pivot
+    # Any remaining smaller cut contains the pivot and separates two of
     # its neighbours.
-    neighbors = sorted(pivot_nbrs, key=graph.degree)
+    neighbors = sorted(set(graph.neighbors(pivot)), key=graph.degree)
     for v, w in itertools.combinations(neighbors, 2):
         if graph.has_edge(v, w):
             continue
-        if len(graph.neighbors(v) & graph.neighbors(w)) >= k:
+        if len(graph.neighbors(v) & graph.neighbors(w)) >= threshold:
             continue
-        cut = network.vertex_cut_if_below(v, w, k)
+        cut = network.vertex_cut_if_below(v, w, threshold)
         if cut is not None:
-            return cut
-    return None
+            threshold, best = len(cut), cut
+            if threshold < k:
+                return best, threshold
+    return best, threshold
 
 
 def _is_simplicial(graph: Graph, vertex: Hashable) -> bool:
@@ -147,61 +212,6 @@ def _is_simplicial(graph: Graph, vertex: Hashable) -> bool:
             if w not in u_nbrs:
                 return False
     return True
-
-
-def _certified_sweep(
-    graph: Graph,
-    network: VertexSplitNetwork,
-    pivot: Hashable,
-    k: int,
-) -> set | None:
-    """Cut-from-pivot search with Wen et al.'s deposit sweep.
-
-    Maintains the set of vertices *certified* k-connected to the pivot.
-    Seeds: the pivot's neighbours (adjacent ⇒ κ = ∞). Deposit rule: a
-    vertex with ≥ k certified neighbours is itself certified without a
-    flow — any cut of size < k leaves one certified neighbour
-    untouched on the pivot's side, and the edge to it pins the vertex
-    there too. Certifications propagate breadth-first, so on dense
-    graphs most vertices never see a max-flow call.
-
-    Returns a vertex cut of size < k if one separates the pivot from
-    anything, else None.
-    """
-    certified = set(graph.neighbors(pivot)) | {pivot}
-    deposits = {
-        v: len(graph.neighbors(v) & certified)
-        for v in graph.vertices()
-        if v not in certified
-    }
-
-    def propagate(start: Hashable) -> None:
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if w in certified:
-                    continue
-                deposits[w] += 1
-                if deposits[w] >= k:
-                    certified.add(w)
-                    stack.append(w)
-
-    # Flush vertices already saturated by the initial neighbourhood.
-    for v in sorted(deposits, key=repr):
-        if v not in certified and deposits[v] >= k:
-            certified.add(v)
-            propagate(v)
-
-    for v in graph.vertices():
-        if v in certified:
-            continue
-        cut = network.vertex_cut_if_below(pivot, v, k)
-        if cut is not None:
-            return cut
-        certified.add(v)
-        propagate(v)
-    return None
 
 
 def is_k_vertex_connected(graph: Graph, k: int) -> bool:
@@ -263,35 +273,11 @@ def is_side_vertex(graph: Graph, vertex: Hashable, k: int) -> bool:
 def global_vertex_connectivity(graph: Graph) -> int:
     """κ(G) for a graph with at least two vertices.
 
-    Complete graphs get κ = n - 1 (the standard convention). Used by
-    tests and by the k_max dataset statistic.
+    Complete graphs get κ = n - 1 (the standard convention).
     """
     n = graph.num_vertices
     if n < 2:
         raise ParameterError("connectivity needs at least two vertices")
     if not is_connected(graph):
         return 0
-    if graph.num_edges == n * (n - 1) // 2:
-        return n - 1
-    best = graph.min_degree()
-    network = VertexSplitNetwork(graph)
-    pivot = min(graph.vertices(), key=graph.degree)
-    pivot_nbrs = set(graph.neighbors(pivot))
-    pivot_closed = pivot_nbrs | {pivot}
-    for v in graph.vertices():
-        if v in pivot_closed:
-            continue
-        if len(pivot_nbrs & graph.neighbors(v)) >= best:
-            continue  # shared neighbours alone meet the current bound
-        best = min(best, int(network.max_flow(pivot, v, cutoff=best)))
-        if best == 0:
-            return 0
-    for v, w in itertools.combinations(pivot_nbrs, 2):
-        if graph.has_edge(v, w):
-            continue
-        if len(graph.neighbors(v) & graph.neighbors(w)) >= best:
-            continue
-        best = min(best, int(network.max_flow(v, w, cutoff=best)))
-        if best == 0:
-            return 0
-    return best
+    return connectivity_search(graph, 1, n - 1)[1]

@@ -7,6 +7,9 @@ each request's scheduled instant, fires, and measures latency **from
 the scheduled instant** — if the previous response was late and this
 send is delayed, the delay is charged to the server as queueing time
 rather than silently dropped (open-loop, coordinated-omission-safe).
+Each sample also records how late the send itself was, so the run
+table can report the client's p95 without that lateness next to the
+server's own.
 
 Failure taxonomy (one outcome per request, see
 :data:`repro.loadtest.run_table.OUTCOMES`):
@@ -265,6 +268,7 @@ def _worker(
                 with mutate_lock:
                     with open(graph_path, "a", encoding="utf-8") as handle:
                         handle.write(request.mutate_append + "\n")
+            send_late_ms = max(0.0, time.monotonic() - scheduled_at) * 1000.0
             if scenario.retry_budget:
                 sample = request_with_retries(
                     connection, request, scheduled_at, scenario, rng,
@@ -272,9 +276,13 @@ def _worker(
                 )
             else:
                 sample = request_once(connection, request, scheduled_at)
-            if request.offset_s < scenario.warmup_s:
-                sample = dataclasses.replace(sample, warmup=True)
-            out.append(sample)
+            out.append(
+                dataclasses.replace(
+                    sample,
+                    send_late_ms=send_late_ms,
+                    warmup=request.offset_s < scenario.warmup_s,
+                )
+            )
     finally:
         connection.close()
 

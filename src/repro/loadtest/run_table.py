@@ -68,6 +68,7 @@ COLUMNS = (
     "p50_latency_ms",
     "p95_latency_ms",
     "p99_latency_ms",
+    "p95_from_send_ms",
     "cpu_usage_avg",
     "rss_peak_mb",
     "calibration_s",
@@ -116,6 +117,10 @@ class Sample:
     #: Client-side retries this request consumed before its final
     #: outcome (0 = answered on the first attempt).
     retries: int = 0
+    #: How far past ``scheduled_s`` the generator actually sent the
+    #: request (a late wake-up, or a slow previous reply on the same
+    #: connection). ``latency_ms`` includes it.
+    send_late_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.outcome not in OUTCOMES:
@@ -137,6 +142,7 @@ class Sample:
             "code": self.code,
             "warmup": self.warmup,
             "retries": self.retries,
+            "send_late_ms": round(self.send_late_ms, 3),
         }
 
 
@@ -163,6 +169,10 @@ class RunRow:
     p50_latency_ms: float
     p95_latency_ms: float
     p99_latency_ms: float
+    #: p95 of ``latency_ms - send_late_ms`` over ``ok`` samples: the
+    #: client's figure without the generator's own send lateness, which
+    #: the server's ``server_p95_ms`` never sees.
+    p95_from_send_ms: float
     cpu_usage_avg: float
     rss_peak_mb: float
     calibration_s: float
@@ -199,6 +209,7 @@ _PRECISION = {
     "p50_latency_ms": 3,
     "p95_latency_ms": 3,
     "p99_latency_ms": 3,
+    "p95_from_send_ms": 3,
     "server_p95_ms": 3,
     "cpu_usage_avg": 2,
     "rss_peak_mb": 2,
@@ -323,6 +334,7 @@ def aggregate(
         "connection-refused": 0,
     }
     latencies = []
+    from_send = []
     shed = 0
     retried = 0
     retries_total = 0
@@ -332,6 +344,7 @@ def aggregate(
             retries_total += sample.retries
         if sample.outcome == "ok":
             latencies.append(sample.latency_ms)
+            from_send.append(sample.latency_ms - sample.send_late_ms)
         elif sample.outcome == "shed":
             shed += 1
         else:
@@ -363,6 +376,7 @@ def aggregate(
         p50_latency_ms=percentile(latencies, 0.50),
         p95_latency_ms=percentile(latencies, 0.95),
         p99_latency_ms=percentile(latencies, 0.99),
+        p95_from_send_ms=percentile(sorted(from_send), 0.95),
         cpu_usage_avg=cpu_usage_avg,
         rss_peak_mb=rss_peak_mb,
         calibration_s=calibration_s,

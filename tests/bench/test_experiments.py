@@ -4,24 +4,12 @@ from repro.bench import (
     fig7_series,
     fig8_rows,
     fig9_rows,
-    k_max,
     render_series,
     render_table,
     table3_rows,
     table6_rows,
 )
 from repro.bench.memory import measure_peak_memory
-from repro.graph import clique_graph, community_graph
-
-
-class TestKMax:
-    def test_clique(self):
-        assert k_max(clique_graph(6)) == 5
-
-    def test_community(self):
-        g = community_graph([14], k=3, seed=0)
-        # clique-ring of width 3 has connectivity 6
-        assert k_max(g) == 6
 
 
 class TestMemoryProbe:

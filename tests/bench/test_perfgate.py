@@ -282,6 +282,23 @@ class TestLoadGate:
         reference_speed = _load_row(samples=slow_samples)
         assert not perfgate.compare_load_table([reference_speed], raw)["ok"]
 
+    def test_server_p95_cross_check_leaves_out_send_lateness(self):
+        from repro.loadtest import Sample
+
+        # The generator woke 4.5 ms late for one request in ten: the
+        # client's scheduled-instant p95 carries that lateness, the
+        # daemon never saw it, and the cross-check compares the figure
+        # measured from the actual send.
+        samples = [Sample("point", 0.5, 0.4, "ok")] * 9 + [
+            Sample("point", 0.6, 4.9, "ok", send_late_ms=4.5)
+        ]
+        row = _load_row(samples=samples, server_p95_ms=0.4)
+        assert row.p95_latency_ms == 4.9
+        assert row.p95_from_send_ms == pytest.approx(0.4)
+        gate = _load_gate(server_p95_tolerance=0.2, server_p95_slack_ms=0.0)
+        verdict = perfgate.compare_load_table([row], gate)
+        assert verdict["ok"], verdict["failures"]
+
     def test_row_without_calibration_fails(self):
         verdict = perfgate.compare_load_table(
             [_load_row(calibration_s=float("nan"))], _load_gate()

@@ -1,10 +1,42 @@
 """Tests for the k-VCC hierarchy (Figure 1's all-k decomposition)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
 from repro.core import kvcc_hierarchy, max_kvcc_level, membership_levels, vcce_td
+from repro.datasets import DATASETS
 from repro.errors import ParameterError
-from repro.graph import Graph, clique_graph, community_graph, random_gnm
+from repro.graph import (
+    Graph,
+    clique_graph,
+    community_graph,
+    connected_components,
+    random_gnm,
+)
+
+
+def reference_hierarchy(graph, max_k=None):
+    """Level by level: a fresh VCCE-TD run inside every parent."""
+    levels = {}
+    current = {frozenset(c) for c in connected_components(graph) if len(c) > 1}
+    k = 1
+    while current and (max_k is None or k <= max_k):
+        levels[k] = current
+        k += 1
+        current = {
+            child
+            for parent in current
+            for child in vcce_td(graph.subgraph(parent), k).components
+        }
+    return levels
+
+
+def as_sets(levels):
+    return {k: set(components) for k, components in levels.items()}
 
 
 class TestHierarchy:
@@ -51,11 +83,53 @@ class TestHierarchy:
         with pytest.raises(ParameterError):
             kvcc_hierarchy(Graph(), max_k=0)
 
+    def test_figure1_k5_is_carried_from_level_3_to_4(self, paper_figure1_graph):
+        with obs.collecting() as collector:
+            levels = kvcc_hierarchy(paper_figure1_graph)
+        assert frozenset(range(10, 15)) in levels[3]
+        assert levels[4] == [frozenset(range(10, 15))]
+        assert collector.counters["hierarchy.carried"] == 1
+
+
+class TestMatchesLevelByLevelReference:
+    @pytest.mark.parametrize("name", sorted(DATASETS))
+    @pytest.mark.parametrize("max_k", [None, 2, 3])
+    def test_registry_dataset(self, name, max_k):
+        graph = DATASETS[name].graph()
+        assert as_sets(kvcc_hierarchy(graph, max_k=max_k)) == reference_hierarchy(
+            graph, max_k
+        )
+
+    @given(
+        n=st.integers(min_value=1, max_value=25),
+        p=st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.7, 0.9]),
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_k=st.sampled_from([None, 1, 2, 4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_gnp(self, n, p, seed, max_k):
+        rng = random.Random(seed)
+        graph = Graph.from_edges(
+            ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p),
+            vertices=range(n),
+        )
+        assert as_sets(kvcc_hierarchy(graph, max_k=max_k)) == reference_hierarchy(
+            graph, max_k
+        )
+
 
 class TestDerivedQueries:
     def test_max_level(self):
         assert max_kvcc_level(clique_graph(5)) == 4
         assert max_kvcc_level(Graph()) == 0
+
+    def test_max_level_clique(self):
+        assert max_kvcc_level(clique_graph(6)) == 5
+
+    def test_max_level_community(self):
+        g = community_graph([14], k=3, seed=0)
+        # clique-ring of width 3 has connectivity 6
+        assert max_kvcc_level(g) == 6
 
     def test_membership_levels(self, paper_figure1_graph):
         depth = membership_levels(paper_figure1_graph)

@@ -91,6 +91,16 @@ class TestKnownStructures:
     def test_invalid_k(self):
         with pytest.raises(ParameterError):
             vcce_td(clique_graph(3), 1)
+        with pytest.raises(ParameterError):
+            vcce_td(clique_graph(5), 3, upper=2)
+
+    def test_upper_measures_each_component(self, paper_figure1_graph):
+        assert vcce_td(paper_figure1_graph, 3).connectivity is None
+        measured = vcce_td(paper_figure1_graph, 3, upper=9).connectivity
+        assert measured[frozenset(range(10, 15))] == (4, None)  # K5
+        bound, cut = measured[frozenset(range(1, 10))]
+        assert bound == len(cut) == 3
+        assert set(measured) == {frozenset(range(1, 10)), frozenset(range(10, 15))}
 
     def test_figure1_structure(self, paper_figure1_graph):
         g = paper_figure1_graph

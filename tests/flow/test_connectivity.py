@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.flow import (
+    connectivity_search,
     find_vertex_cut,
     global_vertex_connectivity,
     is_k_vertex_connected,
@@ -126,6 +127,56 @@ class TestFindVertexCut:
             sub = g.subgraph(rest)
             anchor = next(iter(rest))
             assert component_of(sub, anchor) != rest
+
+
+def disconnects(graph: Graph, cut: set) -> bool:
+    rest = graph.vertex_set() - cut
+    return component_of(graph.subgraph(rest), next(iter(rest))) != rest
+
+
+class TestConnectivitySearch:
+    """The bounded search against networkx's κ."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2_000),
+        m=st.integers(min_value=12, max_value=70),
+        k=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_networkx(self, seed, m, k, extra):
+        g = random_gnm(14, m, seed=seed)
+        g = g.subgraph(component_of(g, next(iter(g.vertices()))))
+        if g.num_vertices < 2:
+            return
+        n, upper = g.num_vertices, k + extra
+        kappa = nx.node_connectivity(to_networkx(g))
+        cut, bound = connectivity_search(g, k, upper)
+        if g.num_edges == n * (n - 1) // 2:  # complete: κ = n - 1, no cut
+            assert (cut, bound) == (None, min(kappa, upper))
+        elif kappa < k:
+            assert cut is not None and len(cut) == bound < k
+            assert disconnects(g, cut)
+        else:
+            assert bound == min(kappa, upper)
+            assert (cut is None) == (bound == upper)
+            if cut is not None:
+                assert len(cut) == bound
+                assert disconnects(g, cut)
+        assert find_vertex_cut(g, k) == connectivity_search(g, k, k)[0]
+
+    def test_lowers_the_threshold_below_min_degree(self):
+        g = community_graph([8, 8], k=3, seed=1, bridge_width=2)
+        cut, bound = connectivity_search(g, 2, g.num_vertices)
+        assert bound == nx.node_connectivity(to_networkx(g)) == len(cut)
+        assert bound < g.min_degree()
+        assert disconnects(g, cut)
+
+    def test_clique_and_invalid_bounds(self):
+        assert connectivity_search(clique_graph(5), 2, 9) == (None, 4)
+        assert connectivity_search(clique_graph(5), 2, 3) == (None, 3)
+        with pytest.raises(ParameterError):
+            connectivity_search(clique_graph(5), 3, 2)
 
 
 class TestIsKVertexConnected:

@@ -1,8 +1,8 @@
 """docs/observability.md's counter catalogue matches the code.
 
 For every enumeration layer (flow, graph, certificate, seeding,
-expansion, merge, pipeline, parallel, VCCE-TD) and the resilience
-layer, every catalogue row names a counter some ``obs.count("...")``
+expansion, merge, pipeline, parallel, VCCE-TD, hierarchy) and the
+resilience layer, every catalogue row names a counter some ``obs.count("...")``
 literal in ``src/`` emits, and every such literal has a row — so
 removing a code path cannot leave its counters documented, and a new
 counter cannot ship undocumented. Every counter name is dotted
@@ -25,6 +25,7 @@ PREFIXES = (
     "pipeline.",
     "parallel.",
     "vcce_td.",
+    "hierarchy.",
     "resilience.",
 )
 
