@@ -48,7 +48,6 @@ from repro.core.vcce_bu import vcce_bu
 from repro.core.vcce_td import vcce_td
 from repro.datasets.registry import DATASETS, load_snap_graph
 from repro.errors import IndexCorruptionError, ReproError
-from repro.flow import fastpath
 from repro.graph.io import read_edge_list
 from repro.obs.spans import render_span_tree, span_totals, to_chrome_trace
 from repro.parallel.executor import ParallelConfig, parallel_ripple
@@ -182,13 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="parallel-ripple: seconds before a worker task is "
         "declared hung and re-dispatched",
-    )
-    enum.add_argument(
-        "--no-certificate",
-        action="store_true",
-        help="disable certificate sparsification of dense flow tests "
-        "(see docs/performance.md); affects ripple and ripple-me only, "
-        "results are identical either way",
     )
     enum.add_argument(
         "--quiet",
@@ -503,35 +495,6 @@ def _cmd_enumerate(args: argparse.Namespace, runinfo: dict) -> int:
     deadline = (
         Deadline(args.deadline) if args.deadline is not None else None
     )
-    if args.no_certificate:
-        if args.algorithm == "parallel-ripple":
-            # The fast-path config is thread-local; it does not reach
-            # pool workers, so pretending would be worse than refusing.
-            print(
-                "note: --no-certificate does not propagate to "
-                "parallel-ripple workers; ignoring",
-                file=sys.stderr,
-            )
-        elif args.algorithm in ("vcce-td", "vcce-bu"):
-            # Only ME and FBM flow tests read the switch: VCCE-BU runs
-            # neither, and VCCE-TD's cut search always sparsifies.
-            print(
-                f"note: --no-certificate does not affect {args.algorithm}; "
-                "ignoring",
-                file=sys.stderr,
-            )
-        else:
-            with fastpath.configured(certificate=False):
-                return _dispatch_enumerate(args, runinfo, graph, deadline)
-    return _dispatch_enumerate(args, runinfo, graph, deadline)
-
-
-def _dispatch_enumerate(
-    args: argparse.Namespace,
-    runinfo: dict,
-    graph,
-    deadline: Deadline | None,
-) -> int:
     if args.algorithm == "parallel-ripple":
         config = ParallelConfig(workers=args.workers, backend=args.backend)
         supervision = SupervisionConfig(task_timeout=args.task_timeout)
@@ -1126,7 +1089,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the exit status."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    obs.trace.configure_from_env()
     want_stats = getattr(args, "stats", False)
     stats_json = getattr(args, "stats_json", None)
     trace_out = getattr(args, "trace_out", None)

@@ -34,11 +34,9 @@ from collections.abc import Hashable, Iterable
 
 from repro import obs
 from repro.errors import ParameterError
-from repro.flow import fastpath
 from repro.flow.network import VertexSplitNetwork
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import collect_cliques_at_least
-from repro.graph.forests import certificate_for_flow
 
 __all__ = [
     "unitary_expansion",
@@ -129,12 +127,6 @@ def multiple_expansion(
         obs.count(
             "expansion.me.discarded", len(candidates) - len(survivors)
         )
-        obs.trace_event(
-            "me.round",
-            members=len(members),
-            candidates=len(candidates),
-            absorbed=len(survivors),
-        )
         if not survivors:
             break
         members |= survivors
@@ -150,9 +142,8 @@ def _shrink_candidates(
     ``C* ⊆ candidates`` whose every vertex reaches σ with ≥ k disjoint
     paths inside ``G[S ∪ C*] + σ``.
 
-    Each pass builds its network on the current scope ``S ∪ C``. On
-    dense scopes the flow tests run on the CKT sparse certificate of
-    that scope instead (see :mod:`repro.flow.fastpath`).
+    Each pass builds its network on the current scope ``S ∪ C`` and
+    records an ``expansion.me.filter_pass`` span event.
     """
     current = set(candidates)
     # Degree peel: max_flow(u → σ) is capped by u's degree inside the
@@ -177,25 +168,18 @@ def _shrink_candidates(
                 inside_degree[v] = d - 1
                 if d == k:
                     peel.append(v)
-    certify = fastpath.active().certificate
     while current:
         obs.count("expansion.me.filter_passes")
-        scope = members | current
-        host = graph
-        if certify:
-            certificate = certificate_for_flow(graph, scope, k)
-            if certificate is not None:
-                host = certificate
         network = VertexSplitNetwork(
-            host, scope, virtual_sources={SIGMA: members}
+            graph, members | current, virtual_sources={SIGMA: members}
         )
         survivors = set()
         for u in current:
             obs.count("expansion.me.flow_tests")
             if network.max_flow(u, SIGMA, cutoff=k) >= k:
                 survivors.add(u)
-        obs.trace_event(
-            "me.filter_pass",
+        obs.span_event(
+            "expansion.me.filter_pass",
             candidates=len(current),
             survivors=len(survivors),
         )
@@ -217,9 +201,6 @@ def ring_expansion(graph: Graph, k: int, seed: Iterable[Hashable]) -> set:
             absorbed = _ring_pass(graph, k, members)
             obs.set_span_attrs(absorbed=len(absorbed))
         obs.count("expansion.rme.absorbed", len(absorbed))
-        obs.trace_event(
-            "rme.round", members=len(members), absorbed=len(absorbed)
-        )
         if not absorbed:
             break
         members |= absorbed

@@ -11,9 +11,6 @@
   all of S and τ to all of S' and merges iff ``max_flow(σ → τ) ≥ k``
   inside ``G[S ∪ S']``; an overlap of ≥ k vertices short-circuits the
   flow (any separator of the union would have to swallow the overlap).
-  Dense unions run the flow on the CKT sparse certificate of the union
-  instead (same verdict, ≤ k·(n-1) arcs — see
-  :func:`repro.graph.forests.certificate_for_flow`).
 * :func:`merge_components` — the fixed-point driver (Algorithm 2): keeps
   trying pairs until no two components merge, with a size-descending
   order so big components absorb small ones early. Instead of rescanning
@@ -33,10 +30,8 @@ from collections.abc import Callable
 from repro import obs
 from repro.core.expansion import SIGMA
 from repro.errors import ParameterError
-from repro.flow import fastpath
 from repro.flow.network import VertexSplitNetwork
 from repro.graph.adjacency import Graph
-from repro.graph.forests import certificate_for_flow
 
 __all__ = [
     "neighbor_based_merge_condition",
@@ -112,15 +107,9 @@ def flow_based_merge_condition(
             obs.count("merge.tests_rejected")
             obs.count("merge.bound_short_circuits")
             return False
-    union = side_a | side_b
-    host = graph
-    if fastpath.active().certificate:
-        certificate = certificate_for_flow(graph, union, k)
-        if certificate is not None:
-            host = certificate
     network = VertexSplitNetwork(
-        host,
-        union,
+        graph,
+        side_a | side_b,
         virtual_sources={SIGMA: side_a, TAU: side_b},
     )
     obs.count("merge.flow_tests")
@@ -203,7 +192,6 @@ def merge_components(
         merged_any = False
         round_no += 1
         obs.count("merge.rounds")
-        obs.trace_event("merge.round", pool=len(pool))
         with obs.start_span(
             "merge.round", round=round_no, pool=len(pool)
         ):

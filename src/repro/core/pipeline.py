@@ -29,7 +29,6 @@ from repro.core import merging as merging_mod
 from repro.core import seeding as seeding_mod
 from repro.core.result import PhaseTimer, VCCResult
 from repro.errors import ParameterError
-from repro.flow import fastpath
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import k_core
 from repro.resilience.deadline import Deadline, as_deadline
@@ -97,7 +96,6 @@ def bottom_up_pipeline(
     order: str = "merge_first",
     deadline: Deadline | float | None = None,
     resume_from: Iterable[frozenset] | None = None,
-    certificate: bool | None = None,
 ) -> VCCResult:
     """Run the seed → (merge ↔ expand)* pipeline and return its result.
 
@@ -116,28 +114,7 @@ def bottom_up_pipeline(
     ``status="interrupted"``. ``resume_from`` (a previous result's
     ``checkpoint``) skips seeding and continues merging/expanding that
     pool.
-
-    ``certificate`` overrides the flow fast path's certificate
-    sparsification for this run (see :mod:`repro.flow.fastpath`):
-    ``False`` forces every ME/FBM flow test onto the raw induced
-    subgraph, ``True`` forces the default dense-scope certificate
-    behaviour, ``None`` inherits the ambient configuration.
     """
-    if certificate is not None:
-        with fastpath.configured(certificate=certificate):
-            return bottom_up_pipeline(
-                graph,
-                k,
-                seeding=seeding,
-                expansion=expansion,
-                merging=merging,
-                alpha=alpha,
-                me_hops=me_hops,
-                algorithm_name=algorithm_name,
-                order=order,
-                deadline=deadline,
-                resume_from=resume_from,
-            )
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
     if order not in ("merge_first", "expand_first"):

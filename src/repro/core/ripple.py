@@ -31,15 +31,12 @@ def ripple(
     alpha: int = DEFAULT_ALPHA,
     deadline: Deadline | float | None = None,
     resume_from: Iterable[frozenset] | None = None,
-    certificate: bool | None = None,
 ) -> VCCResult:
     """Enumerate k-VCCs with RIPPLE (QkVCS + FBM + RME).
 
     ``deadline`` bounds the run's wall clock (partial results with
     ``status="deadline"`` past it) and ``resume_from`` continues from a
-    partial result's ``checkpoint``. ``certificate`` overrides the flow
-    fast path's certificate sparsification (``None`` = inherit, see
-    :mod:`repro.flow.fastpath`).
+    partial result's ``checkpoint``.
 
     >>> from repro.graph import community_graph
     >>> g = community_graph([10, 10], k=3, seed=1)
@@ -57,7 +54,6 @@ def ripple(
         algorithm_name="RIPPLE",
         deadline=deadline,
         resume_from=resume_from,
-        certificate=certificate,
     )
 
 
@@ -67,7 +63,6 @@ def ripple_me(
     hops: int | None = 1,
     alpha: int = DEFAULT_ALPHA,
     deadline: Deadline | float | None = None,
-    certificate: bool | None = None,
 ) -> VCCResult:
     """RIPPLE-ME: exact Multiple Expansion restricted to ``hops`` rings.
 
@@ -84,7 +79,6 @@ def ripple_me(
         me_hops=hops,
         algorithm_name="RIPPLE-ME",
         deadline=deadline,
-        certificate=certificate,
     )
 
 

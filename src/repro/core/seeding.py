@@ -266,13 +266,6 @@ def qkvcs(graph: Graph, k: int, alpha: int = DEFAULT_ALPHA) -> list[set]:
     # only an actual fallback contribution needs the second pass.
     final = _dedupe(seeds + fallback) if fallback else seeds
     obs.count("seeding.seeds", len(final))
-    obs.trace_event(
-        "seeding.qkvcs",
-        cliques=len(from_cliques),
-        kbfs=len(from_kbfs),
-        fallback=len(fallback),
-        seeds=len(final),
-    )
     return final
 
 

@@ -23,7 +23,6 @@ def vcce_bu(
     k: int,
     alpha: int = DEFAULT_ALPHA,
     deadline: Deadline | float | None = None,
-    certificate: bool | None = None,
 ) -> VCCResult:
     """Enumerate k-VCCs with the VCCE-BU baseline (LkVCS + UE + NBM).
 
@@ -40,5 +39,4 @@ def vcce_bu(
         alpha=alpha,
         algorithm_name="VCCE-BU",
         deadline=deadline,
-        certificate=certificate,
     )

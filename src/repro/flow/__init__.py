@@ -1,6 +1,5 @@
 """Flow substrate: Dinic max-flow and vertex-connectivity queries."""
 
-from repro.flow import fastpath
 from repro.flow.connectivity import (
     connectivity_search,
     find_vertex_cut,
@@ -21,7 +20,6 @@ __all__ = [
     "EvenTarjan",
     "VertexSplitNetwork",
     "connectivity_search",
-    "fastpath",
     "find_vertex_cut",
     "global_vertex_connectivity",
     "is_k_vertex_connected",

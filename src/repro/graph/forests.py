@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import chain
 
-from repro import obs
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import (
@@ -22,7 +21,6 @@ from repro.graph.traversal import (
 
 __all__ = [
     "bfs_forest",
-    "certificate_for_flow",
     "k_bfs_forests",
     "k_bfs_seed_components",
     "sparse_certificate",
@@ -106,42 +104,6 @@ def sparse_certificate(graph: Graph, k: int) -> Graph:
         vertices=graph.vertices(),
     )
     return certificate
-
-
-def certificate_for_flow(graph: Graph, members: set, k: int) -> Graph | None:
-    """The sparse certificate of ``G[members]`` when it is dense enough.
-
-    The expansion/merging hot paths ask threshold questions —
-    "κ(u, σ) ≥ k inside G[members] (+ virtuals)?" — and by the
-    certificate property of :func:`sparse_certificate` any vertex cut
-    of size < k exists in the certificate iff it exists in the induced
-    subgraph, so those questions have the *same answer* on either
-    graph. Running the flow on the certificate caps the arc count at
-    ``k·(n-1)`` regardless of how dense the subgraph is.
-
-    Returns ``None`` when the induced subgraph has at most ``2 · k · n``
-    edges (already sparse — building the certificate would cost more
-    than it saves; above that, it at least halves the flow work),
-    otherwise the certificate. The edge count scan early-exits once
-    the threshold is crossed.
-    """
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    n = len(members)
-    threshold = 2 * k * n
-    # The induced subgraph can have no more edges than the host graph.
-    if graph.num_edges <= threshold:
-        return None
-    half_edges = 0
-    limit = 2 * threshold
-    for u in members:
-        half_edges += len(graph.neighbors(u) & members)
-        if half_edges > limit:
-            break
-    if half_edges <= limit:
-        return None
-    obs.count("certificate.activations")
-    return sparse_certificate(graph.subgraph(members), k)
 
 
 def k_bfs_seed_components(graph: Graph, k: int) -> list[set]:

@@ -1,4 +1,4 @@
-"""Observability substrate: counters, spans, and structured tracing.
+"""Observability substrate: counters and spans.
 
 Every performance claim in the paper's evaluation reduces to *where the
 flow work goes* — augmentations inside Dinic, candidate filters inside
@@ -11,8 +11,6 @@ is the measurement layer those claims are checked against:
 * :class:`NullCollector` — the zero-overhead default: recording methods
   are no-ops, so instrumented hot paths stay hot when nobody is
   measuring;
-* :mod:`repro.obs.trace` — an opt-in (``REPRO_TRACE=1``) structured
-  event log for debugging fixed-point loops;
 * :mod:`repro.obs.spans` — an opt-in hierarchical span tree (wall,
   CPU, peak memory, attributes) for profiling where a run's time goes;
   enabled with ``collecting(spans=True)`` and recorded through
@@ -39,7 +37,7 @@ import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from repro.obs import spans, trace
+from repro.obs import spans
 from repro.obs.collector import SCHEMA, Collector, NullCollector
 from repro.obs.histogram import Histogram
 
@@ -60,8 +58,6 @@ __all__ = [
     "span_event",
     "spans",
     "start_span",
-    "trace",
-    "trace_event",
 ]
 
 #: The process-wide no-op default every thread starts with.
@@ -76,10 +72,6 @@ class _Local(threading.local):
 
 
 _tls = _Local()
-
-# Pick up REPRO_TRACE from the environment as soon as the library is
-# imported, so `REPRO_TRACE=1 python script.py` needs no code changes.
-trace.configure_from_env()
 
 
 def get_collector() -> Collector:
@@ -173,8 +165,3 @@ def set_span_attrs(**attrs) -> None:
     if collector.is_noop:
         return
     collector.set_span_attrs(**attrs)
-
-
-def trace_event(event: str, **fields) -> None:
-    """Emit a structured trace event (no-op unless tracing is on)."""
-    trace.emit(event, **fields)

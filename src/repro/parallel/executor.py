@@ -36,8 +36,9 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from repro import obs
 from repro.core.expansion import ring_expansion
 from repro.core.merging import flow_based_merge_condition
+from repro.core.pipeline import _finalize
 from repro.core.result import PhaseTimer, VCCResult
-from repro.core.seeding import kbfs_seeds, lkvcs
+from repro.core.seeding import DEFAULT_ALPHA, _dedupe, kbfs_seeds, lkvcs
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.cliques import cliques_from_roots
@@ -207,7 +208,7 @@ def parallel_ripple(
     graph: Graph,
     k: int,
     config: ParallelConfig | None = None,
-    alpha: int = 1000,
+    alpha: int = DEFAULT_ALPHA,
     supervision: SupervisionConfig | None = None,
     deadline: Deadline | float | None = None,
     resume_from: Iterable[frozenset] | None = None,
@@ -461,26 +462,3 @@ def _touches(graph: Graph, side_a: set, side_b: set) -> bool:
     if small & large:
         return True
     return any(graph.neighbors(u) & large for u in small)
-
-
-def _dedupe(seeds: list[set]) -> list[set]:
-    unique: list[set] = []
-    for seed in sorted(seeds, key=len, reverse=True):
-        if any(seed <= kept for kept in unique):
-            continue
-        unique.append(set(seed))
-    return unique
-
-
-def _finalize(components: list[set], k: int) -> list[frozenset]:
-    ordered = sorted(
-        {frozenset(c) for c in components}, key=len, reverse=True
-    )
-    kept: list[frozenset] = []
-    for comp in ordered:
-        if len(comp) <= k:
-            continue
-        if any(comp < other for other in kept):
-            continue
-        kept.append(comp)
-    return kept

@@ -349,7 +349,7 @@ class SupervisedPool:
             # an abrupt exception.
             fault = "raise"
         obs.count("resilience.faults_injected")
-        obs.trace_event(
+        obs.span_event(
             "resilience.fault", stage=stage, index=job.index, mode=fault
         )
         return fault
@@ -368,7 +368,6 @@ class SupervisedPool:
 
     def _rebuild_pool(self) -> None:
         obs.count("resilience.pool_rebuilds")
-        obs.trace_event("resilience.pool_rebuild", backend=self._backend)
         obs.span_event("resilience.pool_rebuild", backend=self._backend)
         self._teardown_pool()
         self._pool = self._make_pool()
@@ -397,10 +396,6 @@ class SupervisedPool:
     def _degrade(self) -> None:
         self._degraded = True
         obs.count("resilience.degraded")
-        obs.trace_event(
-            "resilience.degraded",
-            consecutive_failures=self._consecutive_failures,
-        )
         obs.span_event(
             "resilience.degraded",
             consecutive_failures=self._consecutive_failures,

@@ -106,7 +106,7 @@ class ServingFaults:
         """The armed mode for this stage hit (consumes one firing).
 
         ``request_id`` ties the draw to the request that triggered it:
-        a firing emits a ``serving.fault`` trace event carrying the id,
+        a firing records a ``serving.fault`` span event carrying the id,
         so an access-log line with a surprising outcome can be joined
         to the exact fault that caused it.
         """
@@ -117,7 +117,7 @@ class ServingFaults:
         if mode is not None:
             obs.count("serving.faults_injected")
             obs.count(f"serving.faults.{stage}.{mode}")
-            obs.trace_event(
+            obs.span_event(
                 "serving.fault",
                 stage=stage,
                 mode=mode,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import obs, parallel_ripple, ripple
+from repro import obs, parallel_ripple, ripple, ripple_me
 from repro.core.expansion import multiple_expansion
 from repro.graph import community_graph, planted_kvcc_graph
 from repro.parallel import ParallelConfig
@@ -48,6 +48,43 @@ class TestSequentialPipeline:
         assert collector.counter("expansion.me.absorbed") > 0
         assert collector.counter("flow.dinic.calls") > 0
         assert collector.counter("flow.dinic.augmentations") > 0
+
+    def test_round_spans_carry_their_sizes(self, host):
+        # Every fixed-point loop reports its sizes on its round span;
+        # QkVCS reports its seed mix through counters.
+        with obs.collecting(spans=True) as collector:
+            ripple_me(host, 3)
+        attrs: dict = {}
+        for root in collector.spans.roots:
+            for span in root.walk():
+                attrs.setdefault(span.name, []).append(span.attrs)
+        for name, fields in (
+            ("expansion.me.round", ("members", "candidates", "absorbed")),
+            ("merge.round", ("pool",)),
+        ):
+            assert attrs[name], name
+            for found in attrs[name]:
+                assert all(isinstance(found[f], int) for f in fields), found
+        with obs.collecting(spans=True) as collector:
+            ripple(host, 3)
+        rme = [
+            span.attrs
+            for root in collector.spans.roots
+            for span in root.walk()
+            if span.name == "expansion.rme.round"
+        ]
+        assert rme
+        assert all(
+            isinstance(a["members"], int) and isinstance(a["absorbed"], int)
+            for a in rme
+        )
+        for name in (
+            "seeding.clique_seeds",
+            "seeding.kbfs_seeds",
+            "seeding.fallback_seeds",
+            "seeding.seeds",
+        ):
+            assert name in collector.counters, name
 
     def test_runs_are_isolated(self, host):
         with obs.collecting() as first:

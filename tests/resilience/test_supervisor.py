@@ -23,6 +23,16 @@ def _double(payload):
     return payload * 2
 
 
+def _events(collector, name: str) -> list[dict]:
+    """Attributes of every ``name`` span event the collector recorded."""
+    return [
+        span.attrs
+        for root in collector.spans.roots
+        for span in root.walk()
+        if span.name == name
+    ]
+
+
 def _make_spool(plan=None, **kwargs) -> SupervisedPool:
     supervision = SupervisionConfig(
         fault_plan=plan if plan is not None else FaultPlan([]), **kwargs
@@ -159,12 +169,16 @@ class TestParallelRippleRecovery:
     ):
         monkeypatch.setenv("REPRO_FAULT", f"{stage}:*:crash")
         config = ParallelConfig(workers=2, backend=backend)
-        with obs.collecting() as collector:
+        with obs.collecting(spans=True) as collector:
             result = parallel_ripple(fault_graph, 3, config)
         assert result.status == "completed"
         assert set(result.components) == expected_components
         assert collector.counter("resilience.faults_injected") == 1
         assert collector.counter("resilience.retries") >= 1
+        # A thread cannot crash alone, so the supervisor raises instead.
+        mode = "crash" if backend == "process" else "raise"
+        faults = _events(collector, "resilience.fault")
+        assert faults == [{"stage": stage, "index": 0, "mode": mode}]
 
     def test_garbage_result_recovers(
         self, fault_graph, expected_components, backend, monkeypatch
@@ -183,13 +197,17 @@ class TestParallelRippleRecovery:
             fault_plan=FaultPlan.parse("merging:0:crash")
         )
         config = ParallelConfig(workers=2, backend="process")
-        with obs.collecting() as collector:
+        with obs.collecting(spans=True) as collector:
             result = parallel_ripple(
                 fault_graph, 3, config, supervision=supervision
             )
         assert result.status == "completed"
         assert set(result.components) == expected_components
         assert collector.counter("resilience.pool_rebuilds") >= 1
+        rebuilds = _events(collector, "resilience.pool_rebuild")
+        assert rebuilds and all(
+            attrs == {"backend": "process"} for attrs in rebuilds
+        )
 
     def test_process_hung_worker_is_reclaimed(
         self, fault_graph, expected_components
@@ -214,7 +232,7 @@ class TestParallelRippleRecovery:
             max_retries=1, degrade_after=3, fault_plan=plan
         )
         config = ParallelConfig(workers=2, backend=backend)
-        with obs.collecting() as collector:
+        with obs.collecting(spans=True) as collector:
             result = parallel_ripple(
                 fault_graph, 3, config, supervision=supervision
             )
@@ -222,6 +240,8 @@ class TestParallelRippleRecovery:
         assert not result.is_partial
         assert set(result.components) == expected_components
         assert collector.counter("resilience.degraded") == 1
+        degraded = _events(collector, "resilience.degraded")
+        assert degraded == [{"consecutive_failures": 3}]
 
     def test_unfaulted_run_counts_nothing(self, fault_graph, backend):
         config = ParallelConfig(workers=2, backend=backend)

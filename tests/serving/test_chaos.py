@@ -47,12 +47,26 @@ class TestSequencing:
     def test_draw_counts_injections(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
         _arm("engine.resolve:0:hang")
-        with obs.collecting() as collector:
-            engine.query(0, 2)
+        with obs.collecting(spans=True) as collector:
+            engine.query(0, 2, request_id="req-7")
         assert collector.counter("serving.faults_injected") == 1
         assert (
             collector.counter("serving.faults.engine.resolve.hang") == 1
         )
+        faults = [
+            span.attrs
+            for root in collector.spans.roots
+            for span in root.walk()
+            if span.name == "serving.fault"
+        ]
+        assert faults == [
+            {
+                "stage": "engine.resolve",
+                "mode": "hang",
+                "sequence": 0,
+                "request_id": "req-7",
+            }
+        ]
 
     def test_no_plan_is_a_noop(self, graph):
         chaos.deactivate()

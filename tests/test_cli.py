@@ -132,32 +132,6 @@ class TestUndecodableInput:
                      "--format", "snap", "--quiet"]) == 0
 
 
-class TestNoCertificateNote:
-    @pytest.mark.parametrize("algorithm", ["vcce-td", "vcce-bu"])
-    def test_note_for_algorithms_it_does_not_affect(
-        self, edge_list, algorithm, capsys
-    ):
-        argv = ["enumerate", edge_list, "-k", "3", "--quiet",
-                "--algorithm", algorithm, "--no-certificate"]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert f"note: --no-certificate does not affect {algorithm}" in err
-
-    @pytest.mark.parametrize("algorithm", ["ripple", "ripple-me"])
-    def test_no_note_where_it_applies(self, edge_list, algorithm, capsys):
-        argv = ["enumerate", edge_list, "-k", "3", "--quiet",
-                "--algorithm", algorithm, "--no-certificate"]
-        assert main(argv) == 0
-        assert "--no-certificate" not in capsys.readouterr().err
-
-    def test_help_names_the_affected_algorithms(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["enumerate", "--help"])
-        # argparse may wrap the help text at the hyphen of ripple-me.
-        help_text = "".join(capsys.readouterr().out.split())
-        assert "affectsrippleandripple-meonly" in help_text
-
-
 class TestStats:
     def test_stats_flag_prints_counters(self, edge_list, capsys):
         assert main(["--stats", "enumerate", edge_list, "-k", "3",

@@ -34,13 +34,28 @@ def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
 
 
 def _documented_flags() -> dict[str, list[str]]:
-    """flag -> ["file:line", ...] for every flag on a `ripple` line."""
+    """flag -> ["file:line", ...] for every flag on a `ripple` line.
+
+    A command that wraps (a trailing backslash, or a usage synopsis
+    continued on indented ``[--flag ...]`` lines) counts as one line.
+    """
     sightings: dict[str, list[str]] = {}
     for path in DOC_FILES:
+        previous = ""
+        in_command = False
         for number, line in enumerate(
             path.read_text().splitlines(), start=1
         ):
-            if "ripple" not in line and "-m repro" not in line:
+            continued = in_command and (
+                previous.endswith("\\")
+                or (
+                    line[:1].isspace()
+                    and line.lstrip().startswith(("[", "-"))
+                )
+            )
+            in_command = continued or "ripple" in line or "-m repro" in line
+            previous = line.rstrip()
+            if not in_command:
                 continue
             for flag in _FLAG.findall(line):
                 sightings.setdefault(flag, []).append(
