@@ -21,40 +21,48 @@ See :mod:`repro.core` for the algorithms, :mod:`repro.graph` and
 benchmark graphs, and :mod:`repro.bench` for the experiment harness.
 """
 
-from repro.core import (
-    ComponentReport,
-    PhaseTimer,
-    VCCResult,
-    bottom_up_pipeline,
-    kvcc_containing,
-    kvcc_hierarchy,
-    max_kvcc_level,
-    membership_levels,
-    ripple,
-    ripple_me,
-    vcce_bu,
-    vcce_hybrid,
-    vcce_td,
-    verify_component,
-    verify_result,
-)
-from repro.errors import (
-    GraphError,
-    GraphFormatError,
-    ParameterError,
-    ParseError,
-    ReproError,
-)
-from repro.flow import (
-    global_vertex_connectivity,
-    is_k_vertex_connected,
-    local_connectivity,
-)
-from repro.graph import Graph, read_edge_list, write_edge_list
-from repro.metrics import accuracy_report, f_same, j_index
-from repro.parallel import ParallelConfig, parallel_ripple
-from repro.resilience import Deadline, FaultPlan, SupervisionConfig
-from repro.serving import KvccIndex, QueryEngine
+from repro._lazy import lazy_exports
+
+#: Re-exported name → its module, imported on first access (repro._lazy).
+_EXPORTS = {
+    "ComponentReport": "repro.core",
+    "PhaseTimer": "repro.core",
+    "VCCResult": "repro.core",
+    "bottom_up_pipeline": "repro.core",
+    "kvcc_containing": "repro.core",
+    "kvcc_hierarchy": "repro.core",
+    "max_kvcc_level": "repro.core",
+    "membership_levels": "repro.core",
+    "ripple": "repro.core",
+    "ripple_me": "repro.core",
+    "vcce_bu": "repro.core",
+    "vcce_hybrid": "repro.core",
+    "vcce_td": "repro.core",
+    "verify_component": "repro.core",
+    "verify_result": "repro.core",
+    "GraphError": "repro.errors",
+    "GraphFormatError": "repro.errors",
+    "ParameterError": "repro.errors",
+    "ParseError": "repro.errors",
+    "ReproError": "repro.errors",
+    "global_vertex_connectivity": "repro.flow",
+    "is_k_vertex_connected": "repro.flow",
+    "local_connectivity": "repro.flow",
+    "Graph": "repro.graph",
+    "read_edge_list": "repro.graph",
+    "write_edge_list": "repro.graph",
+    "accuracy_report": "repro.metrics",
+    "f_same": "repro.metrics",
+    "j_index": "repro.metrics",
+    "ParallelConfig": "repro.parallel",
+    "parallel_ripple": "repro.parallel",
+    "Deadline": "repro.resilience",
+    "FaultPlan": "repro.resilience",
+    "SupervisionConfig": "repro.resilience",
+    "KvccIndex": "repro.serving",
+    "QueryEngine": "repro.serving",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

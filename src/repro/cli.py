@@ -38,20 +38,20 @@ import argparse
 import contextlib
 import json
 import sys
-import tracemalloc
 from collections.abc import Sequence
 
 from repro import obs
-from repro.bench import experiments, reporting
+from repro.bench import reporting
 from repro.core.ripple import ripple, ripple_me
 from repro.core.vcce_bu import vcce_bu
 from repro.core.vcce_td import vcce_td
-from repro.datasets.registry import DATASETS, load_snap_graph
 from repro.errors import IndexCorruptionError, ReproError
-from repro.graph.io import read_edge_list
+from repro.graph.io import load_snap_graph, read_edge_list
 from repro.obs.spans import render_span_tree, span_totals, to_chrome_trace
-from repro.parallel.executor import ParallelConfig, parallel_ripple
-from repro.resilience import Deadline, SupervisionConfig
+from repro.resilience.deadline import Deadline
+
+# A module that only one command or flag uses is imported inside it,
+# so every command loads only what it runs (tests/test_imports.py).
 
 __all__ = ["build_parser", "main"]
 
@@ -77,48 +77,50 @@ _STATUS_EXIT_CODES = {
     "interrupted": EXIT_INTERRUPT,
 }
 
+#: ``ripple bench`` experiments, each rendered from the
+#: :mod:`repro.bench.experiments` module it is passed.
 _BENCHES = {
-    "table2": lambda: reporting.render_table(
+    "table2": lambda experiments: reporting.render_table(
         "Table II: dataset statistics",
         ["dataset", "mirrors", "|V|", "|E|", "avg deg", "k_max"],
         experiments.table2_rows(),
     ),
-    "table3": lambda: reporting.render_table(
+    "table3": lambda experiments: reporting.render_table(
         "Table III: accuracy (RIPPLE vs VCCE-BU)",
         ["dataset", "k", "F_same RP", "F_same BU", "J_Index RP", "J_Index BU"],
         experiments.table3_rows(),
     ),
-    "table4": lambda: reporting.render_table(
+    "table4": lambda experiments: reporting.render_table(
         "Table IV: RIPPLE vs RIPPLE-ME",
         ["dataset", "k", "RP time", "RP F", "RP J", "ME time", "ME F", "ME J"],
         experiments.table4_rows(),
     ),
-    "table5": lambda: reporting.render_table(
+    "table5": lambda experiments: reporting.render_table(
         "Table V: ablation study",
         ["dataset", "k", "variant", "time", "F_same", "J_Index"],
         experiments.table5_rows(),
     ),
-    "table6": lambda: reporting.render_table(
+    "table6": lambda experiments: reporting.render_table(
         "Table VI: QkVCS seeding efficiency",
         ["dataset", "k", "kBFS %", "BK-MCQ %", "total %", "speedup"],
         experiments.table6_rows(),
     ),
-    "fig7": lambda: reporting.render_series(
+    "fig7": lambda experiments: reporting.render_series(
         "Figure 7: runtime vs k on ca-mathscinet (seconds)",
         "k",
         *experiments.fig7_series("ca-mathscinet"),
     ),
-    "fig8": lambda: reporting.render_table(
+    "fig8": lambda experiments: reporting.render_table(
         "Figure 8: peak traced memory (KiB)",
         ["dataset", "k", "VCCE-TD", "VCCE-BU", "RIPPLE"],
         experiments.fig8_rows(),
     ),
-    "fig9": lambda: reporting.render_table(
+    "fig9": lambda experiments: reporting.render_table(
         "Figure 9: RIPPLE phase time shares (%)",
         ["dataset", "k", "seeding", "merging", "expansion", "other"],
         experiments.fig9_rows(),
     ),
-    "fig10": lambda: reporting.render_table(
+    "fig10": lambda experiments: reporting.render_table(
         "Figure 10: parallel RIPPLE (process pool, ca-dblp)",
         ["dataset", "k", "backend", "workers", "time s", "speedup"],
         experiments.fig10_rows("ca-dblp", worker_counts=(1, 2, 4)),
@@ -496,6 +498,9 @@ def _cmd_enumerate(args: argparse.Namespace, runinfo: dict) -> int:
         Deadline(args.deadline) if args.deadline is not None else None
     )
     if args.algorithm == "parallel-ripple":
+        from repro.parallel.executor import ParallelConfig, parallel_ripple
+        from repro.resilience.supervisor import SupervisionConfig
+
         config = ParallelConfig(workers=args.workers, backend=args.backend)
         supervision = SupervisionConfig(task_timeout=args.task_timeout)
         result = parallel_ripple(
@@ -569,6 +574,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_datasets() -> int:
+    from repro.datasets.registry import DATASETS
+
     rows = [
         [d.name, d.mirrors, ",".join(map(str, d.ks)), d.why]
         for d in DATASETS.values()
@@ -584,7 +591,9 @@ def _cmd_datasets() -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    print(_BENCHES[args.experiment]())
+    from repro.bench import experiments
+
+    print(_BENCHES[args.experiment](experiments))
     return 0
 
 
@@ -655,7 +664,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serving import (
         KvccIndex,
-        MetricsServer,
         QueryEngine,
         ServeSettings,
         serve_stdio,
@@ -745,6 +753,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             bound_host, bound_port = handle.address
             metrics = None
             if args.metrics_port is not None:
+                from repro.serving.metrics import MetricsServer
+
                 metrics = MetricsServer(
                     collector=obs.get_collector(),
                     admission=handle.admission,
@@ -773,6 +783,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return 0
         metrics = None
         if args.metrics_port is not None:
+            from repro.serving.metrics import MetricsServer
+
             metrics = MetricsServer(
                 collector=obs.get_collector(),
                 engine=engine,
@@ -1099,9 +1111,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             collector = obs.Collector()
             collector.enable_spans()
             started_tracemalloc = False
-            if profile_memory and not tracemalloc.is_tracing():
-                tracemalloc.start()
-                started_tracemalloc = True
+            if profile_memory:
+                import tracemalloc
+
+                if not tracemalloc.is_tracing():
+                    tracemalloc.start()
+                    started_tracemalloc = True
             try:
                 with obs.collecting(collector):
                     return _dispatch(args, runinfo)

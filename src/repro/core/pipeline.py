@@ -250,15 +250,12 @@ def bottom_up_pipeline(
 
 
 def _finalize(components: list[set], k: int) -> list[frozenset]:
-    """Deduplicate, drop nested results and undersized leftovers."""
-    ordered = sorted(
-        {frozenset(c) for c in components}, key=len, reverse=True
-    )
-    kept: list[frozenset] = []
-    for comp in ordered:
-        if len(comp) <= k:
-            continue
-        if any(comp < other for other in kept):
-            continue
-        kept.append(comp)
-    return kept
+    """Deduplicate, drop nested results and undersized leftovers.
+
+    Largest first, ties in set-iteration order. Nesting is found
+    through :func:`seeding._dedupe`'s vertex → kept-component index,
+    in time linear in the total size of ``components``.
+    """
+    unique = {frozenset(c) for c in components}
+    large = [c for c in unique if len(c) > k]
+    return [frozenset(c) for c in seeding_mod._dedupe(large)]

@@ -152,8 +152,12 @@ def kbfs_seeds(
     an already-covered region (e.g. the union of clique seeds): their
     vertices are seeded anyway and merging reassembles any larger
     structure, so the flow-based verification would be pure overhead.
+    When it covers the whole graph every candidate would be skipped, so
+    the forests are not built at all.
     """
     covered = skip_inside or set()
+    if graph.vertex_view() <= covered:
+        return []
     pending = k_bfs_seed_components(graph, k)
     seeds: list[set] = []
     while pending:

@@ -1,5 +1,5 @@
-"""Benchmark dataset registry (synthetic stand-ins for Table II) and
-the streaming SNAP edge-list loader."""
+"""Benchmark dataset registry (synthetic stand-ins for Table II), with
+the streaming SNAP edge-list loader of :mod:`repro.graph.io`."""
 
 from repro.datasets.registry import (
     DATASETS,

@@ -14,16 +14,12 @@ Every dataset fixes the three ``k`` values its accuracy rows use
 
 from __future__ import annotations
 
-import gzip
 import random
-
-from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import GraphFormatError, ParameterError
+from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.csr import CsrGraph
 from repro.graph.generators import (
     CommunitySpec,
     attach_mixed_chains,
@@ -33,7 +29,7 @@ from repro.graph.generators import (
     planted_kvcc_graph,
     powerlaw_cluster_graph,
 )
-from repro.graph.io import coerce_label, not_utf8_error
+from repro.graph.io import load_snap_edge_list, load_snap_graph, stream_snap_edges
 from repro.graph.kcore import k_core
 
 __all__ = [
@@ -269,75 +265,6 @@ DATASETS: dict[str, Dataset] = {
         ),
     )
 }
-
-
-# ---------------------------------------------------------------------------
-# Streaming SNAP loader
-# ---------------------------------------------------------------------------
-#
-# The paper's real graphs ship as SNAP-style edge lists: ``# comment``
-# header blocks, one whitespace-separated vertex pair per line, often
-# with self-loops and duplicate edges left in. The loaders below stream
-# such a file straight into a :class:`CsrGraph` — no intermediate dict
-# graph, no per-edge adjacency sets — so the peak transient state is the
-# deduplicated pair list that the CSR builder keeps anyway.
-
-
-def stream_snap_edges(
-    lines: Iterable[str], source: str | None = None
-) -> Iterator[tuple[Hashable, Hashable]]:
-    """Yield raw vertex pairs from SNAP-style edge-list lines.
-
-    Blank lines and ``#`` / ``%`` comment lines are skipped. Self-loops
-    and duplicate edges are *not* filtered here —
-    :meth:`CsrGraph.from_edge_stream` drops them while counting what it
-    dropped, so the observability counters reflect the raw file. Extra
-    columns (timestamps, weights) are ignored. A line with fewer than
-    two tokens raises :class:`~repro.errors.GraphFormatError` with its
-    1-based line number.
-    """
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
-            continue
-        parts = line.split()
-        if len(parts) < 2:
-            raise GraphFormatError(
-                f"expected a vertex pair, got {line!r}",
-                source=source,
-                lineno=lineno,
-            )
-        yield coerce_label(parts[0]), coerce_label(parts[1])
-
-
-def load_snap_edge_list(path: str) -> CsrGraph:
-    """Stream a SNAP-style edge-list file into a :class:`CsrGraph`.
-
-    ``.gz`` paths are decompressed on the fly. The file is read exactly
-    once; see :func:`stream_snap_edges` for the tolerated format.
-    Content that is not UTF-8 text, or a truncated gzip stream, raises
-    :class:`~repro.errors.GraphFormatError` naming the file.
-    """
-    opener = gzip.open if str(path).endswith(".gz") else open
-    try:
-        with opener(path, "rt", encoding="utf-8") as handle:
-            return CsrGraph.from_edge_stream(
-                stream_snap_edges(handle, source=str(path))
-            )
-    except UnicodeDecodeError as exc:
-        raise not_utf8_error(path, exc, opener) from None
-    except EOFError as exc:
-        raise GraphFormatError(
-            f"truncated gzip stream ({exc})", source=str(path)
-        ) from None
-
-
-def load_snap_graph(path: str) -> Graph:
-    """SNAP file → adjacency :class:`Graph`, streamed through
-    :class:`CsrGraph` (the input path of ``ripple enumerate --format
-    snap``).
-    """
-    return load_snap_edge_list(path).to_graph()
 
 
 def dataset_names() -> list[str]:

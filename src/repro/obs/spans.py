@@ -28,8 +28,10 @@ totals for ``ripple stats diff`` and the perf-regression gate.
 
 from __future__ import annotations
 
+# The C half of tracemalloc has the three calls a span makes; the
+# ``tracemalloc`` module itself costs every process an import.
+import _tracemalloc as tracemalloc
 import time
-import tracemalloc
 
 try:  # pragma: no cover - resource is POSIX-only
     import resource

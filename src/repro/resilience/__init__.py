@@ -12,14 +12,20 @@ The reliability layer the parallel pipeline runs on (see
   so every recovery path above is exercised by tests.
 """
 
-from repro.resilience.deadline import Deadline, as_deadline
-from repro.resilience.faults import (
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    FaultSpecError,
-)
-from repro.resilience.supervisor import SupervisedPool, SupervisionConfig
+from repro._lazy import lazy_exports
+
+#: Re-exported name → its module, imported on first access (repro._lazy).
+_EXPORTS = {
+    "Deadline": "repro.resilience.deadline",
+    "as_deadline": "repro.resilience.deadline",
+    "FaultInjected": "repro.resilience.faults",
+    "FaultPlan": "repro.resilience.faults",
+    "FaultSpec": "repro.resilience.faults",
+    "FaultSpecError": "repro.resilience.faults",
+    "SupervisedPool": "repro.resilience.supervisor",
+    "SupervisionConfig": "repro.resilience.supervisor",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Deadline",

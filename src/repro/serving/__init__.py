@@ -33,33 +33,33 @@ Quickstart::
     print(engine.query(vertex=7, k=3).components)
 """
 
-from repro.serving.accesslog import AccessLog
-from repro.serving.admission import AdmissionController
-from repro.serving.daemon import (
-    ServeSettings,
-    TcpServerHandle,
-    serve_stdio,
-    serve_tcp,
-)
-from repro.serving.engine import (
-    BatchDeadlineExpired,
-    LRUCache,
-    QueryEngine,
-    QueryResult,
-)
-from repro.serving.index import INDEX_SCHEMA, KvccIndex, graph_fingerprint
-from repro.serving.metrics import (
-    MetricsServer,
-    render_prometheus,
-    validate_exposition,
-)
-from repro.serving.protocol import (
-    PROTOCOL,
-    ServerContext,
-    error_line,
-    handle_line,
-    handle_request,
-)
+from repro._lazy import lazy_exports
+
+#: Re-exported name → its module, imported on first access (repro._lazy).
+_EXPORTS = {
+    "AccessLog": "repro.serving.accesslog",
+    "AdmissionController": "repro.serving.admission",
+    "ServeSettings": "repro.serving.daemon",
+    "TcpServerHandle": "repro.serving.daemon",
+    "serve_stdio": "repro.serving.daemon",
+    "serve_tcp": "repro.serving.daemon",
+    "BatchDeadlineExpired": "repro.serving.engine",
+    "LRUCache": "repro.serving.engine",
+    "QueryEngine": "repro.serving.engine",
+    "QueryResult": "repro.serving.engine",
+    "INDEX_SCHEMA": "repro.serving.index",
+    "KvccIndex": "repro.serving.index",
+    "graph_fingerprint": "repro.serving.index",
+    "MetricsServer": "repro.serving.metrics",
+    "render_prometheus": "repro.serving.metrics",
+    "validate_exposition": "repro.serving.metrics",
+    "PROTOCOL": "repro.serving.protocol",
+    "ServerContext": "repro.serving.protocol",
+    "error_line": "repro.serving.protocol",
+    "handle_line": "repro.serving.protocol",
+    "handle_request": "repro.serving.protocol",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "AccessLog",

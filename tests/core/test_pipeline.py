@@ -14,6 +14,7 @@ from repro.core import (
     vcce_bu,
     vcce_td,
 )
+from repro.core.pipeline import _finalize
 from repro.errors import ParameterError
 from repro.flow import is_k_vertex_connected
 from repro.graph import (
@@ -154,3 +155,29 @@ class TestRoundOrdering:
     def test_unknown_order_rejected(self):
         with pytest.raises(ParameterError):
             bottom_up_pipeline(Graph(), 3, order="sideways")
+
+
+def _reference_finalize(components, k):
+    """The quadratic nesting scan that ``_finalize`` replaced."""
+    ordered = sorted(
+        {frozenset(c) for c in components}, key=len, reverse=True
+    )
+    kept = []
+    for comp in ordered:
+        if len(comp) <= k:
+            continue
+        if any(comp < other for other in kept):
+            continue
+        kept.append(comp)
+    return kept
+
+
+class TestFinalize:
+    @given(
+        st.lists(st.sets(st.integers(0, 15), max_size=10), max_size=30),
+        st.integers(min_value=0, max_value=4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quadratic_reference(self, components, k):
+        # List equality: the same components in the same order.
+        assert _finalize(components, k) == _reference_finalize(components, k)
