@@ -2,7 +2,7 @@
 
 The serving layer's whole claim is that materialising the hierarchy
 once turns per-query enumeration cost into per-query lookup cost.
-These benches time the three resolution paths on the perf-gate smoke
+These benches time the three resolution paths on the planted smoke
 graph, and the trajectory test holds the committed
 ``benchmarks/trajectory/BENCH_pr5.json`` row (regenerated by
 ``scripts/bench_serving.py``) to the >= 10x indexed-vs-cold bar the

@@ -1,49 +1,34 @@
-"""Re-measure the perf-gate cases and compare against a baseline.
+"""Judge a load-test run table against a committed load gate.
 
 Usage:
-    python scripts/bench_compare.py [BASELINE] [--save-current FILE]
     python scripts/bench_compare.py --load-table run_table.csv \
         [--load-gate benchmarks/baselines/loadtest_gate.json]
 
-Exits 0 when every case stays within tolerance (wall +30%,
-calibration-adjusted; peak traced memory +20%), 1 on any regression
-(with a per-span delta table localising it), 2 on usage errors.
+Every row of the load-test run table (see ``docs/loadtest.md``) is
+judged against the committed ``repro.loadgate/1`` thresholds —
+failure_rate within the cap (0 by default), p95 latency under a
+ceiling, achieved throughput over a floor, plus the shed-taxonomy
+bounds when the gate sets them: ``max_shed_rate`` (collateral shedding
+under nominal load), ``min_shed_rate`` (a degradation gate proving
+overload actually shed instead of silently queueing), and
+``max_internal_errors`` (the daemon's ``serving.errors.internal``
+delta). Each row's busy-loop calibration (``calibration_s``) rescales
+the latency/rps thresholds, so a slow CI runner does not flake the
+gate; shed bounds are absolute rates and stay unscaled.
 
-``--load-table`` switches to the serving-capacity gate instead: every
-row of the load-test run table (see ``docs/loadtest.md``) is judged
-against the committed ``repro.loadgate/1`` thresholds — failure_rate
-within the cap (0 by default), p95 latency under a ceiling, achieved
-throughput over a floor, plus the shed-taxonomy bounds when the gate
-sets them: ``max_shed_rate`` (collateral shedding under nominal load),
-``min_shed_rate`` (a degradation gate proving overload actually shed
-instead of silently queueing), and ``max_internal_errors`` (the
-daemon's ``serving.errors.internal`` delta). The same busy-loop
-calibration that normalises the perf gate rescales the latency/rps
-thresholds per row, so a slow CI runner does not flake the gate; shed
-bounds are absolute rates and stay unscaled.
-
-``--inject-slowdown CASE:FACTOR`` multiplies one case's measured wall
-time before the comparison — a test hook proving the gate actually
-trips (used by the test suite and handy for CI dry runs).
+Exits 0 when every row passes, 1 when the gate trips, 2 on unreadable
+or invalid inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.bench import perfgate  # noqa: E402
-
-DEFAULT_BASELINE = (
-    Path(__file__).resolve().parents[1]
-    / "benchmarks"
-    / "baselines"
-    / "smoke.json"
-)
 
 DEFAULT_LOAD_GATE = (
     Path(__file__).resolve().parents[1]
@@ -53,7 +38,24 @@ DEFAULT_LOAD_GATE = (
 )
 
 
-def _run_load_gate(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--load-table",
+        type=Path,
+        required=True,
+        metavar="CSV",
+        help="load-test run_table.csv to judge (see docs/loadtest.md)",
+    )
+    parser.add_argument(
+        "--load-gate",
+        type=Path,
+        default=DEFAULT_LOAD_GATE,
+        metavar="FILE",
+        help=f"load-gate thresholds (default {DEFAULT_LOAD_GATE})",
+    )
+    args = parser.parse_args(argv)
+
     from repro.errors import ReproError
     from repro.loadtest.run_table import read_run_table
 
@@ -65,121 +67,6 @@ def _run_load_gate(args: argparse.Namespace) -> int:
         return 2
     verdict = perfgate.compare_load_table(rows, gate)
     print(perfgate.render_load_report(verdict))
-    return 0 if verdict["ok"] else 1
-
-
-def _parse_slowdown(spec: str) -> tuple[str, float]:
-    name, _, factor = spec.rpartition(":")
-    if not name:
-        raise argparse.ArgumentTypeError(
-            f"expected CASE:FACTOR, got {spec!r}"
-        )
-    try:
-        value = float(factor)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"bad factor in {spec!r}"
-        ) from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError("factor must be positive")
-    return name, value
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "baseline",
-        nargs="?",
-        type=Path,
-        default=DEFAULT_BASELINE,
-        help=f"baseline document (default {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=5,
-        help="uninstrumented wall-time repeats per case (default 5)",
-    )
-    parser.add_argument(
-        "--wall-tolerance",
-        type=float,
-        default=perfgate.WALL_TOLERANCE,
-        help="relative wall regression allowed (default 0.30)",
-    )
-    parser.add_argument(
-        "--mem-tolerance",
-        type=float,
-        default=perfgate.MEM_TOLERANCE,
-        help="relative memory regression allowed (default 0.20)",
-    )
-    parser.add_argument(
-        "--inject-slowdown",
-        type=_parse_slowdown,
-        metavar="CASE:FACTOR",
-        help="test hook: scale one case's measured wall time",
-    )
-    parser.add_argument(
-        "--save-current",
-        type=Path,
-        metavar="FILE",
-        help="also save the candidate measurement document (CI artifact)",
-    )
-    parser.add_argument(
-        "--spans",
-        action="store_true",
-        help="print the per-span delta table even when the gate passes",
-    )
-    parser.add_argument(
-        "--load-table",
-        type=Path,
-        metavar="CSV",
-        help="judge a load-test run_table.csv instead of re-measuring "
-        "the perf cases (see docs/loadtest.md)",
-    )
-    parser.add_argument(
-        "--load-gate",
-        type=Path,
-        default=DEFAULT_LOAD_GATE,
-        metavar="FILE",
-        help=f"load-gate thresholds (default {DEFAULT_LOAD_GATE})",
-    )
-    args = parser.parse_args(argv)
-
-    if args.load_table is not None:
-        return _run_load_gate(args)
-
-    try:
-        baseline = perfgate.load_document(str(args.baseline))
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    candidate = perfgate.run_suite(repeats=args.repeats)
-    if args.inject_slowdown is not None:
-        name, factor = args.inject_slowdown
-        case = candidate["cases"].get(name)
-        if case is None:
-            print(
-                f"error: --inject-slowdown names unknown case {name!r}; "
-                f"known: {', '.join(sorted(candidate['cases']))}",
-                file=sys.stderr,
-            )
-            return 2
-        case["wall_s"] = round(case["wall_s"] * factor, 6)
-
-    if args.save_current is not None:
-        args.save_current.parent.mkdir(parents=True, exist_ok=True)
-        with open(args.save_current, "w", encoding="utf-8") as handle:
-            json.dump(candidate, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    verdict = perfgate.compare(
-        baseline,
-        candidate,
-        wall_tolerance=args.wall_tolerance,
-        mem_tolerance=args.mem_tolerance,
-    )
-    print(perfgate.render_report(verdict, verbose_spans=args.spans))
     return 0 if verdict["ok"] else 1
 
 

@@ -51,7 +51,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT_DIR = ROOT / "benchmarks" / "results" / "degradation"
 DEFAULT_TRAJECTORY = ROOT / "benchmarks" / "trajectory" / "BENCH_pr7.json"
 
-#: The perf-gate smoke graph (same shape bench_loadtest.py drives).
+#: The planted smoke graph (same shape bench_loadtest.py drives).
 GRAPH_ARGS = (3, 30, 4)
 GRAPH_SEED = 7
 TOPOLOGY = "planted-3x30-k4"

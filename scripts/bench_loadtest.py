@@ -4,7 +4,7 @@ Usage:
     PYTHONPATH=src python scripts/bench_loadtest.py [--output-dir DIR]
         [--trajectory-out FILE] [--scenario NAME ...] [--quick]
 
-Spawns a fresh ``ripple serve`` daemon per repetition on the perf-gate
+Spawns a fresh ``ripple serve`` daemon per repetition on the planted
 smoke graph (3 planted 4-VCCs of 30 vertices) and drives the built-in
 scenarios at it open-loop. Artifacts:
 
@@ -44,7 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUTPUT_DIR = ROOT / "benchmarks" / "results" / "loadtest"
 DEFAULT_TRAJECTORY = ROOT / "benchmarks" / "trajectory" / "BENCH_pr6.json"
 
-#: The perf-gate smoke graph (same shape bench_serving.py measures).
+#: The planted smoke graph (same shape bench_serving.py measures).
 GRAPH_ARGS = (3, 30, 4)
 GRAPH_SEED = 7
 TOPOLOGY = "planted-3x30-k4"
@@ -158,13 +158,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
         "method": (
             "scripts/bench_loadtest.py: per scenario, a fresh daemon "
-            "subprocess per repetition on the perf-gate smoke graph; "
+            "subprocess per repetition on the planted smoke graph; "
             "precomputed seeded open-loop schedules (latency measured "
             "from the scheduled arrival instant, so queueing counts); "
             "warmup excluded; CPU/RSS polled from /proc of the daemon; "
-            "medians across repetitions. calibration_s is the perf-gate "
-            "busy loop on this machine — the load gate rescales its "
-            "thresholds by it."
+            "medians across repetitions. calibration_s is the "
+            "repro.bench.perfgate.calibrate busy loop on this machine — "
+            "the load gate rescales its thresholds by it."
         ),
         "calibration_s": round(calibration_s, 6),
         "topology": TOPOLOGY,

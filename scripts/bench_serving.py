@@ -36,7 +36,7 @@ DEFAULT_OUTPUT = (
     / "BENCH_pr5.json"
 )
 
-#: The perf-gate smoke graph: 3 planted 4-VCCs of 30 vertices.
+#: The planted smoke graph: 3 planted 4-VCCs of 30 vertices.
 GRAPH_ARGS = (3, 30, 4)
 GRAPH_SEED = 7
 KS = (2, 4)
@@ -84,7 +84,7 @@ def measure() -> dict:
         ),
         "method": (
             "per-query wall medians over every (vertex, k) pair of the "
-            "perf-gate smoke graph, k in "
+            "planted smoke graph, k in "
             f"{list(KS)}; cold = one kvcc_containing enumeration per "
             "query, indexed = QueryEngine on a prebuilt KvccIndex with "
             "cache_size=0, cached = the same engine after a full "

@@ -23,7 +23,7 @@ that chrome://tracing and Perfetto load (worker subtrees are placed on
 their own tracks via greedy lane assignment); :func:`render_span_tree`
 renders a flame-style text profile in which repeated siblings are
 aggregated by name; :func:`span_totals` reduces a tree to per-name
-totals for ``ripple stats diff`` and the perf-regression gate.
+totals for ``ripple stats diff``.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def span_totals(roots: list[Span]) -> dict[str, dict]:
 
     Every span contributes its own (inclusive) wall/cpu to its name's
     bucket; aggregated leaf calls contribute under their own names.
-    Used by ``ripple stats diff`` and the perf-regression gate.
+    Used by ``ripple stats diff``.
     """
     totals: dict[str, dict] = {}
 

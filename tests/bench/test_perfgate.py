@@ -1,4 +1,6 @@
-"""Tests for the perf-regression gate (repro.bench.perfgate + scripts)."""
+"""Tests for the load gate and calibration (repro.bench.perfgate) and
+for the scripts built on them: bench_compare.py (the load gate) and
+bench_baseline.py (the counter gate's stats baselines)."""
 
 import json
 import subprocess
@@ -8,212 +10,78 @@ from pathlib import Path
 import pytest
 
 from repro.bench import perfgate
-from repro.bench.perfgate import BenchCase
 
 REPO = Path(__file__).resolve().parents[2]
 SCRIPTS = REPO / "scripts"
 
 
-def _tiny_cases() -> dict[str, BenchCase]:
-    def setup():
-        return lambda: sum(range(500))
-
-    return {"tiny/sum": BenchCase("tiny/sum", "trivial case", setup)}
-
-
-def _doc(calibration=0.01, wall=0.1, mem=1000, spans=None):
-    return {
-        "schema": perfgate.SCHEMA,
-        "calibration_s": calibration,
-        "repeats": 3,
-        "cases": {
-            "c": {
-                "description": "synthetic",
-                "wall_s": wall,
-                "mem_peak_bytes": mem,
-                "spans": spans or {},
-            }
-        },
-    }
-
-
 class TestSuite:
-    def test_run_suite_document_shape(self):
-        document = perfgate.run_suite(repeats=1, cases=_tiny_cases())
-        assert document["schema"] == perfgate.SCHEMA
-        assert document["calibration_s"] > 0
-        case = document["cases"]["tiny/sum"]
-        assert case["wall_s"] >= 0
-        assert case["mem_peak_bytes"] >= 0
-        assert isinstance(case["spans"], dict)
-
-    def test_builtin_cases_record_pipeline_spans(self):
-        cases = perfgate.builtin_cases()
-        case = cases["ripple/planted-3x30-k4"]
-        measured = perfgate.run_case(case, repeats=1)
-        assert measured["wall_s"] > 0
-        assert measured["mem_peak_bytes"] > 0
-        assert "pipeline.run" in measured["spans"]
-        assert "phase.merging" in measured["spans"]
-
     def test_calibration_is_positive_and_stable(self):
-        first = perfgate.calibrate(rounds=1)
-        assert first > 0
-
-    def test_load_document_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "other/1"}), encoding="utf-8")
-        with pytest.raises(ValueError):
-            perfgate.load_document(str(bad))
+        assert perfgate.calibrate(rounds=1) > 0
 
 
-class TestCompare:
-    def test_within_tolerance_passes(self):
-        verdict = perfgate.compare(_doc(wall=0.1), _doc(wall=0.11))
-        assert verdict["ok"] and not verdict["failures"]
+def _run(script, *argv):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *argv],
+        capture_output=True,
+        text=True,
+        cwd=str(REPO),
+    )
 
-    def test_wall_regression_fails(self):
-        verdict = perfgate.compare(_doc(wall=0.1), _doc(wall=0.2))
-        assert not verdict["ok"]
-        assert any("wall" in line for line in verdict["failures"])
 
-    def test_mem_regression_fails(self):
-        verdict = perfgate.compare(_doc(mem=1000), _doc(mem=1300))
-        assert not verdict["ok"]
-        assert any("mem" in line for line in verdict["failures"])
+@pytest.fixture(scope="module")
+def baselines(tmp_path_factory):
+    """The directory of one bench_baseline.py run."""
+    out = tmp_path_factory.mktemp("baselines")
+    written = _run("bench_baseline.py", "--output-dir", str(out))
+    assert written.returncode == 0, written.stderr
+    assert sorted(path.name for path in out.iterdir()) == [
+        "index_stats.json",
+        "seeding_stats.json",
+        "smoke_stats.json",
+    ]
+    return out
 
-    def test_calibration_normalises_slow_machines(self):
-        # Candidate took 2x the wall time on a machine whose busy loop
-        # is also 2x slower: no regression after normalisation.
-        baseline = _doc(calibration=0.01, wall=0.1)
-        candidate = _doc(calibration=0.02, wall=0.2)
-        assert perfgate.compare(baseline, candidate)["ok"]
 
-    def test_missing_case_fails(self):
-        candidate = _doc()
-        candidate["cases"] = {}
-        verdict = perfgate.compare(_doc(), candidate)
-        assert not verdict["ok"]
-        assert "missing" in verdict["failures"][0]
-
-    def test_new_case_is_reported_not_gated(self):
-        baseline = _doc()
-        candidate = _doc()
-        candidate["cases"]["extra"] = candidate["cases"]["c"].copy()
-        verdict = perfgate.compare(baseline, candidate)
-        assert verdict["ok"]
-        assert any("new case" in row[-1] for row in verdict["rows"])
-
-    def test_span_delta_rows(self):
-        baseline = _doc(spans={"merge.test": 0.05})
-        candidate = _doc(wall=0.2, spans={"merge.test": 0.15})
-        verdict = perfgate.compare(baseline, candidate)
-        assert ["c", "merge.test", "0.050000", "0.150000", "+200.0%"] in (
-            verdict["span_rows"]
-        )
-
-    def test_render_report_shows_spans_on_failure(self):
-        baseline = _doc(spans={"merge.test": 0.05})
-        candidate = _doc(wall=0.5, spans={"merge.test": 0.4})
-        report = perfgate.render_report(
-            perfgate.compare(baseline, candidate)
-        )
-        assert "FAILURES" in report
-        assert "Per-span wall deltas" in report
-        report_ok = perfgate.render_report(
-            perfgate.compare(baseline, _doc(spans={"merge.test": 0.05}))
-        )
-        assert "perf gate passed" in report_ok
-        assert "Per-span wall deltas" not in report_ok
+def _counters(directory, name):
+    document = json.loads((directory / name).read_text(encoding="utf-8"))
+    assert document["schema"] == "repro.obs/1"
+    return document["counters"]
 
 
 class TestScripts:
-    """End to end: the acceptance criterion for the gate scripts."""
+    """bench_baseline.py writes the counter gate's stats baselines;
+    bench_compare.py reads the committed load-gate baseline."""
 
-    def _run(self, script, *argv):
-        return subprocess.run(
-            [sys.executable, str(SCRIPTS / script), *argv],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO),
-        )
-
-    def test_baseline_then_compare_clean_and_injected(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        written = self._run(
-            "bench_baseline.py", "--output", str(baseline),
-            "--repeats", "3",
-        )
-        assert written.returncode == 0, written.stderr
-        document = json.loads(baseline.read_text(encoding="utf-8"))
-        assert document["schema"] == perfgate.SCHEMA
-
-        # A widened tolerance keeps machine-load noise from flaking the
-        # clean run; the injected 2x slowdown (+100%) still trips it.
-        clean = self._run(
-            "bench_compare.py", str(baseline), "--repeats", "3",
-            "--wall-tolerance", "0.8",
-        )
-        assert clean.returncode == 0, clean.stdout + clean.stderr
-        assert "perf gate passed" in clean.stdout
-
-        slowed = self._run(
-            "bench_compare.py", str(baseline), "--repeats", "3",
-            "--wall-tolerance", "0.5",
-            "--inject-slowdown", "ripple/planted-3x30-k4:2.0",
-        )
-        assert slowed.returncode == 1, slowed.stdout + slowed.stderr
-        assert "WALL REGRESSION" in slowed.stdout
-        assert "Per-span wall deltas" in slowed.stdout
-
-    def test_baseline_writes_seeding_stats_that_reach_lkvcs(self, tmp_path):
-        written = self._run(
-            "bench_baseline.py", "--output", str(tmp_path / "base.json"),
-            "--repeats", "1",
-        )
-        assert written.returncode == 0, written.stderr
-        document = json.loads(
-            (tmp_path / "seeding_stats.json").read_text(encoding="utf-8")
-        )
-        assert document["schema"] == "repro.obs/1"
+    def test_baseline_writes_seeding_stats_that_reach_lkvcs(self, baselines):
+        counters = _counters(baselines, "seeding_stats.json")
         # The smoke case never reaches the LkVCS fallback; this run must.
-        assert document["counters"]["seeding.fallback_seeds"] > 0
-        assert document["counters"]["seeding.lkvcs_enumerations"] > 0
+        assert counters["seeding.fallback_seeds"] > 0
+        assert counters["seeding.lkvcs_enumerations"] > 0
+
+    def test_baseline_writes_index_stats_of_the_hierarchy(self, baselines):
+        # CI's index diff reads this file: the hierarchy must both search
+        # for cuts and carry components up unchanged.
+        counters = _counters(baselines, "index_stats.json")
+        assert counters["vcce_td.cut_searches"] > 0
+        assert counters["hierarchy.carried"] > 0
 
     def test_baseline_refuses_overwrite_without_refresh(self, tmp_path):
-        target = tmp_path / "base.json"
+        target = tmp_path / "seeding_stats.json"
         target.write_text("{}", encoding="utf-8")
-        refused = self._run(
-            "bench_baseline.py", "--output", str(target), "--repeats", "1"
-        )
+        refused = _run("bench_baseline.py", "--output-dir", str(tmp_path))
         assert refused.returncode == 2
         assert "--refresh" in refused.stderr
+        assert target.read_text(encoding="utf-8") == "{}"
 
     def test_compare_reports_missing_baseline(self, tmp_path):
-        missing = self._run(
-            "bench_compare.py", str(tmp_path / "none.json"),
-            "--repeats", "1",
+        table = _write_table(tmp_path, [_load_row()])
+        missing = _run(
+            "bench_compare.py", "--load-table", str(table),
+            "--load-gate", str(tmp_path / "none.json"),
         )
         assert missing.returncode == 2
         assert "error" in missing.stderr
-
-    def test_compare_save_current_artifact(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        assert self._run(
-            "bench_baseline.py", "--output", str(baseline),
-            "--repeats", "1",
-        ).returncode == 0
-        current = tmp_path / "current.json"
-        run = self._run(
-            "bench_compare.py", str(baseline), "--repeats", "1",
-            # Generous tolerance: this test checks the artifact, not the
-            # gate, and single-repeat walls are noisy under suite load.
-            "--wall-tolerance", "5.0",
-            "--save-current", str(current),
-        )
-        assert run.returncode == 0, run.stdout + run.stderr
-        saved = json.loads(current.read_text(encoding="utf-8"))
-        assert saved["schema"] == perfgate.SCHEMA
 
 
 def _load_row(**overrides):
@@ -232,6 +100,14 @@ def _load_row(**overrides):
     )
     kwargs.update(overrides)
     return aggregate(**kwargs)
+
+
+def _write_table(tmp_path, rows):
+    from repro.loadtest.run_table import write_run_table
+
+    path = tmp_path / "run_table.csv"
+    write_run_table(path, rows)
+    return path
 
 
 def _load_gate(**overrides):
@@ -318,6 +194,13 @@ class TestLoadGate:
         )
         with pytest.raises(ValueError, match="rps_floor"):
             perfgate.load_gate_config(str(untyped))
+        optional = tmp_path / "optional.json"
+        optional.write_text(
+            json.dumps(dict(_load_gate(), max_shed_rate="high")),
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match="max_shed_rate"):
+            perfgate.load_gate_config(str(optional))
 
     def test_render_load_report_lists_failures(self):
         verdict = perfgate.compare_load_table(
@@ -329,20 +212,11 @@ class TestLoadGate:
 
 
 class TestLoadGateScript:
-    _run = TestScripts._run
-
-    def _table(self, tmp_path, rows):
-        from repro.loadtest.run_table import write_run_table
-
-        path = tmp_path / "run_table.csv"
-        write_run_table(path, rows)
-        return path
-
     def test_load_table_mode_passes_and_trips(self, tmp_path):
         gate_path = tmp_path / "gate.json"
         gate_path.write_text(json.dumps(_load_gate()), encoding="utf-8")
-        table = self._table(tmp_path, [_load_row()])
-        clean = self._run(
+        table = _write_table(tmp_path, [_load_row()])
+        clean = _run(
             "bench_compare.py", "--load-table", str(table),
             "--load-gate", str(gate_path),
         )
@@ -354,7 +228,7 @@ class TestLoadGateScript:
             json.dumps(_load_gate(p95_ceiling_ms=0.000001)),
             encoding="utf-8",
         )
-        tripped = self._run(
+        tripped = _run(
             "bench_compare.py", "--load-table", str(table),
             "--load-gate", str(strict),
         )
@@ -364,9 +238,31 @@ class TestLoadGateScript:
     def test_load_table_mode_reports_bad_inputs(self, tmp_path):
         gate_path = tmp_path / "gate.json"
         gate_path.write_text(json.dumps(_load_gate()), encoding="utf-8")
-        missing = self._run(
+        missing = _run(
             "bench_compare.py", "--load-table", str(tmp_path / "no.csv"),
             "--load-gate", str(gate_path),
         )
         assert missing.returncode == 2
         assert "error" in missing.stderr
+
+    def test_load_table_mode_rejects_non_numeric_threshold(self, tmp_path):
+        gate_path = tmp_path / "gate.json"
+        gate_path.write_text(
+            json.dumps(_load_gate(max_shed_rate="high")), encoding="utf-8"
+        )
+        table = _write_table(tmp_path, [_load_row()])
+        invalid = _run(
+            "bench_compare.py",
+            "--load-table",
+            str(table),
+            "--load-gate",
+            str(gate_path),
+        )
+        assert invalid.returncode == 2
+        assert "max_shed_rate" in invalid.stderr
+        assert "Traceback" not in invalid.stderr
+
+    def test_load_table_is_required(self):
+        usage = _run("bench_compare.py")
+        assert usage.returncode == 2
+        assert "--load-table" in usage.stderr

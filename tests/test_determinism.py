@@ -53,6 +53,15 @@ def _run(hash_seed: str) -> dict:
     pythonpath = os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
     )
+    env = {
+        "PYTHONHASHSEED": hash_seed,
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": pythonpath,
+    }
+    # Keep the caller's bytecode setting: a checkout run without
+    # bytecode must not gain .pyc files from these subprocesses.
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [
             sys.executable,
@@ -63,11 +72,7 @@ def _run(hash_seed: str) -> dict:
         ],
         capture_output=True,
         text=True,
-        env={
-            "PYTHONHASHSEED": hash_seed,
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": pythonpath,
-        },
+        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
