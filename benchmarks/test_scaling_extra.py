@@ -1,4 +1,4 @@
-"""Extra (beyond-paper) benches: scaling behaviour and flow engines.
+"""Extra (beyond-paper) benches: scaling behaviour and related work.
 
 The paper's 10×–46× runtime gaps live at million-vertex scale; these
 benches show the *mechanisms* at reachable sizes:
@@ -8,9 +8,6 @@ benches show the *mechanisms* at reachable sizes:
   to linear, so the ratio widens with n. This is the scale-dependence
   EXPERIMENTS.md cites when explaining which paper magnitudes carry
   over.
-* ``test_flow_engine_comparison`` — Dinic vs the Even–Tarjan reference
-  engine on vertex-split certification workloads (why Dinic is the
-  library default).
 """
 
 import time
@@ -18,8 +15,7 @@ import time
 from repro.bench import render_table
 from repro.core import ripple, vcce_td
 from repro.datasets import DATASETS
-from repro.flow import Dinic, EvenTarjan
-from repro.graph import circulant_graph, community_graph
+from repro.graph import community_graph
 
 
 def test_scaling_with_graph_size(benchmark, emit):
@@ -63,52 +59,6 @@ def test_scaling_with_graph_size(benchmark, emit):
     # linear bottom-up work
     assert ratios[-1] > ratios[0], rows
     assert ratios[-1] > 2.0, rows
-
-
-def test_flow_engine_comparison(benchmark, emit):
-    """Dinic vs Even–Tarjan on repeated unit-network max-flows."""
-    graph = circulant_graph(150, 10)
-    index = {u: i for i, u in enumerate(graph.vertices())}
-    n = graph.num_vertices
-
-    def build(engine_cls):
-        engine = engine_cls(2 * n)
-        big = 2 * n + 1
-        for u in graph.vertices():
-            i = index[u]
-            engine.add_edge(2 * i, 2 * i + 1, 1)
-        for u, v in graph.edges():
-            i, j = index[u], index[v]
-            engine.add_edge(2 * i + 1, 2 * j, big)
-            engine.add_edge(2 * j + 1, 2 * i, big)
-        return engine
-
-    pairs = [(0, 75), (10, 100), (25, 120), (3, 90)]
-
-    def run(engine_cls):
-        start = time.perf_counter()
-        values = []
-        for s, t in pairs:
-            engine = build(engine_cls)
-            values.append(engine.max_flow(2 * s + 1, 2 * t))
-        return values, time.perf_counter() - start
-
-    (dinic_vals, dinic_time) = benchmark.pedantic(
-        lambda: run(Dinic), rounds=1, iterations=1
-    )
-    et_vals, et_time = run(EvenTarjan)
-    emit(
-        "flow_engines",
-        render_table(
-            "Flow engines on vertex-split C150(1..10) connectivity queries",
-            ["engine", "seconds", "flows"],
-            [
-                ["Dinic", round(dinic_time, 4), str(dinic_vals)],
-                ["Even-Tarjan", round(et_time, 4), str(et_vals)],
-            ],
-        ),
-    )
-    assert dinic_vals == et_vals  # the engines agree exactly
 
 
 def test_hybrid_vs_td(benchmark, emit, bench_collector):

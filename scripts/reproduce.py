@@ -4,7 +4,8 @@ Orchestrates what `pytest benchmarks/ --benchmark-only` does, but
 without pytest: every experiment runner executes in-process, the
 rendered tables are collected, and the output is one markdown report
 with the measured tables inline — handy for CI artifacts or for a
-quick "did my change move any number?" diff.
+quick "did my change move any number?" diff. Each table is the one
+`ripple bench <experiment>` prints.
 
 Usage:  python scripts/reproduce.py [output.md]
 """
@@ -16,18 +17,19 @@ import time
 from pathlib import Path
 
 from repro import __version__
-from repro.bench import (
-    fig7_series,
-    fig8_rows,
-    fig9_rows,
-    fig10_rows,
-    render_series,
-    render_table,
-    table2_rows,
-    table3_rows,
-    table4_rows,
-    table5_rows,
-    table6_rows,
+from repro.cli import _BENCHES
+
+#: The report's section order (`ripple bench` experiment names).
+SECTIONS = (
+    "table2",
+    "table3",
+    "fig7",
+    "fig8",
+    "table4",
+    "table5",
+    "table6",
+    "fig9",
+    "fig10",
 )
 
 
@@ -36,6 +38,8 @@ def _block(title: str, text: str) -> str:
 
 
 def main() -> None:
+    from repro.bench import experiments
+
     target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("REPORT.md")
     started = time.perf_counter()
     sections: list[str] = [
@@ -47,89 +51,10 @@ def main() -> None:
         "interpretation of each exhibit.",
         "",
     ]
-
-    steps = [
-        (
-            "Table II — dataset statistics",
-            lambda: render_table(
-                "Table II",
-                ["dataset", "mirrors", "|V|", "|E|", "avg deg", "k_max"],
-                table2_rows(),
-            ),
-        ),
-        (
-            "Table III — accuracy",
-            lambda: render_table(
-                "Table III",
-                ["dataset", "k", "F_same RP", "F_same BU",
-                 "J_Index RP", "J_Index BU"],
-                table3_rows(),
-            ),
-        ),
-        (
-            "Figure 7 — runtime vs k (ca-mathscinet)",
-            lambda: render_series(
-                "Figure 7",
-                "k",
-                *fig7_series("ca-mathscinet"),
-            ),
-        ),
-        (
-            "Figure 8 — peak memory",
-            lambda: render_table(
-                "Figure 8 (KiB)",
-                ["dataset", "k", "VCCE-TD", "VCCE-BU", "RIPPLE"],
-                fig8_rows(),
-            ),
-        ),
-        (
-            "Table IV — RIPPLE vs RIPPLE-ME",
-            lambda: render_table(
-                "Table IV",
-                ["dataset", "k", "RP s", "RP F", "RP J",
-                 "ME s", "ME F", "ME J"],
-                table4_rows(),
-            ),
-        ),
-        (
-            "Table V — ablation",
-            lambda: render_table(
-                "Table V",
-                ["dataset", "k", "variant", "time", "F_same", "J_Index"],
-                table5_rows(),
-            ),
-        ),
-        (
-            "Table VI — seeding",
-            lambda: render_table(
-                "Table VI",
-                ["dataset", "k", "kBFS %", "BK-MCQ %", "total %",
-                 "speedup"],
-                table6_rows(),
-            ),
-        ),
-        (
-            "Figure 9 — phase shares",
-            lambda: render_table(
-                "Figure 9 (%)",
-                ["dataset", "k", "seeding", "merging", "expansion",
-                 "other"],
-                fig9_rows(),
-            ),
-        ),
-        (
-            "Figure 10 — parallel scaling",
-            lambda: render_table(
-                "Figure 10",
-                ["dataset", "k", "backend", "workers", "time s",
-                 "speedup"],
-                fig10_rows("ca-dblp", worker_counts=(1, 2, 4)),
-            ),
-        ),
-    ]
-    for title, build in steps:
-        print(f"running: {title} …", flush=True)
-        sections.append(_block(title, build()))
+    for name in SECTIONS:
+        print(f"running: {name} …", flush=True)
+        text = _BENCHES[name](experiments)
+        sections.append(_block(text.splitlines()[0], text))
 
     elapsed = time.perf_counter() - started
     sections.append(f"_Total reproduction time: {elapsed:.1f}s._\n")

@@ -47,7 +47,6 @@ _EXPORTS = {
     "ReproError": "repro.errors",
     "global_vertex_connectivity": "repro.flow",
     "is_k_vertex_connected": "repro.flow",
-    "local_connectivity": "repro.flow",
     "Graph": "repro.graph",
     "read_edge_list": "repro.graph",
     "write_edge_list": "repro.graph",
@@ -90,7 +89,6 @@ __all__ = [
     "j_index",
     "kvcc_containing",
     "kvcc_hierarchy",
-    "local_connectivity",
     "max_kvcc_level",
     "membership_levels",
     "parallel_ripple",

@@ -10,7 +10,6 @@ _EXPORTS = {
     "fig8_rows": "repro.bench.experiments",
     "fig9_rows": "repro.bench.experiments",
     "fig10_rows": "repro.bench.experiments",
-    "run_with_stats": "repro.bench.experiments",
     "table2_rows": "repro.bench.experiments",
     "table3_rows": "repro.bench.experiments",
     "table4_rows": "repro.bench.experiments",
@@ -34,7 +33,6 @@ __all__ = [
     "measure_peak_memory",
     "render_series",
     "render_table",
-    "run_with_stats",
     "table2_rows",
     "table3_rows",
     "table4_rows",

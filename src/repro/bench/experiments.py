@@ -14,11 +14,9 @@ interrupted by a cluster deadline still yields usable partial tables.
 
 from __future__ import annotations
 
-import json
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from repro import obs
 from repro.bench.memory import measure_peak_memory
 from repro.core.hierarchy import max_kvcc_level
 from repro.core.result import VCCResult
@@ -33,7 +31,6 @@ from repro.core.seeding import lkvcs_seeds, qkvcs
 from repro.core.vcce_bu import vcce_bu
 from repro.core.vcce_td import vcce_td
 from repro.datasets.registry import DATASETS, Dataset
-from repro.flow.connectivity import is_k_vertex_connected
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import k_core
 from repro.metrics.accuracy import accuracy_report
@@ -45,7 +42,6 @@ __all__ = [
     "fig7_series",
     "fig8_rows",
     "fig9_rows",
-    "run_with_stats",
     "table2_rows",
     "table3_rows",
     "table4_rows",
@@ -58,20 +54,6 @@ def _timed(action) -> tuple[VCCResult, float]:
     start = time.perf_counter()
     result = action()
     return result, time.perf_counter() - start
-
-
-def run_with_stats(action: Callable[[], object]) -> tuple[object, dict]:
-    """Run ``action`` under a fresh obs collector; return (value, stats).
-
-    ``stats`` is the parsed ``repro.obs/1`` payload
-    (:meth:`repro.obs.Collector.to_json`): the per-phase counters that
-    the benchmark harness attaches to every experiment's JSON dump, so
-    ``results/*.json`` trajectories explain *why* a timing moved (more
-    augmentations? more merge tests?), not just that it did.
-    """
-    with obs.collecting() as collector:
-        value = action()
-    return value, json.loads(collector.to_json())
 
 
 def table2_rows() -> list[list]:
@@ -365,13 +347,3 @@ def _selected(names: Sequence[str] | None) -> list[Dataset]:
     if names is None:
         return list(DATASETS.values())
     return [DATASETS[name] for name in names]
-
-
-def sanity_check_outputs(name: str, k: int) -> bool:
-    """Cross-check helper: every RIPPLE component verifies as a k-VCS."""
-    graph = DATASETS[name].graph()
-    result = ripple(graph, k)
-    return all(
-        is_k_vertex_connected(graph.subgraph(c), k)
-        for c in result.components
-    )

@@ -6,19 +6,7 @@ k-core lives in :mod:`repro.graph.kcore`; this package adds the other
 two comparators.
 """
 
-from repro.cohesion.kecc import (
-    find_edge_cut,
-    global_edge_connectivity,
-    k_edge_components,
-    local_edge_connectivity,
-)
-from repro.cohesion.ktruss import k_truss, truss_numbers
+from repro.cohesion.kecc import find_edge_cut, k_edge_components
+from repro.cohesion.ktruss import k_truss
 
-__all__ = [
-    "find_edge_cut",
-    "global_edge_connectivity",
-    "k_edge_components",
-    "k_truss",
-    "local_edge_connectivity",
-    "truss_numbers",
-]
+__all__ = ["find_edge_cut", "k_edge_components", "k_truss"]

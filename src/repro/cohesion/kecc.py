@@ -5,8 +5,8 @@ A k-ECC is a maximal subgraph that survives the removal of any k-1
 partition framework is exact: find a global edge cut below k, remove
 it, recurse on the pieces. Edge connectivity questions reduce to plain
 (non-vertex-split) max-flow: λ(u, v) equals the max flow with one unit
-arc per edge direction, and the global λ is the minimum of λ(s, v)
-over any fixed s (every cut separates s from somebody).
+arc per edge direction, and a global edge cut below k separates any
+fixed s from somebody, so flows from s to every other vertex find one.
 
 Built on the same Dinic engine as the vertex machinery; used by the
 cohesion-model comparison example and bench to place k-VCC against the
@@ -22,12 +22,7 @@ from repro.flow.dinic import Dinic
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import connected_components
 
-__all__ = [
-    "local_edge_connectivity",
-    "global_edge_connectivity",
-    "find_edge_cut",
-    "k_edge_components",
-]
+__all__ = ["find_edge_cut", "k_edge_components"]
 
 
 class _EdgeFlowNetwork:
@@ -56,32 +51,6 @@ class _EdgeFlowNetwork:
         side = self._dinic.min_cut_side(self._index[source])
         labels = {i: u for u, i in self._index.items()}
         return {labels[i] for i in side}
-
-
-def local_edge_connectivity(graph: Graph, u: Hashable, v: Hashable) -> int:
-    """λ(u, v): minimum edges to remove to disconnect u from v."""
-    if u == v:
-        raise ParameterError("edge connectivity needs two distinct vertices")
-    for label in (u, v):
-        if not graph.has_vertex(label):
-            raise ParameterError(f"{label!r} is not in the graph")
-    return int(_EdgeFlowNetwork(graph).max_flow(u, v))
-
-
-def global_edge_connectivity(graph: Graph) -> int:
-    """λ(G) for a graph with at least two vertices."""
-    if graph.num_vertices < 2:
-        raise ParameterError("edge connectivity needs at least two vertices")
-    network = _EdgeFlowNetwork(graph)
-    anchor = next(iter(graph.vertices()))
-    best = graph.min_degree()
-    for v in graph.vertices():
-        if v == anchor:
-            continue
-        best = min(best, int(network.max_flow(anchor, v, cutoff=best)))
-        if best == 0:
-            return 0
-    return best
 
 
 def find_edge_cut(graph: Graph, k: int) -> set[frozenset] | None:

@@ -16,7 +16,7 @@ from collections import deque
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 
-__all__ = ["k_truss", "truss_numbers"]
+__all__ = ["k_truss"]
 
 
 def _support(graph: Graph) -> dict[frozenset, int]:
@@ -58,28 +58,3 @@ def k_truss(graph: Graph, k: int) -> Graph:
         [w for w in work.vertices() if work.degree(w) == 0]
     )
     return work
-
-
-def truss_numbers(graph: Graph) -> dict[frozenset, int]:
-    """The truss number of every edge: the largest k whose k-truss keeps it.
-
-    Peels edges in non-decreasing support order (the edge analogue of
-    core decomposition); every edge's truss number is its support at
-    removal time plus 2, made monotone.
-    """
-    work = graph.copy()
-    support = _support(work)
-    numbers: dict[frozenset, int] = {}
-    current = 0
-    while support:
-        edge = min(support, key=support.get)
-        current = max(current, support[edge])
-        numbers[edge] = current + 2
-        u, v = tuple(edge)
-        for w in work.neighbors(u) & work.neighbors(v):
-            for other in (frozenset((u, w)), frozenset((v, w))):
-                if other in support and support[other] > 0:
-                    support[other] -= 1
-        del support[edge]
-        work.remove_edge(u, v)
-    return numbers

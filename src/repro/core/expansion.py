@@ -36,7 +36,7 @@ from repro import obs
 from repro.errors import ParameterError
 from repro.flow.network import VertexSplitNetwork
 from repro.graph.adjacency import Graph
-from repro.graph.cliques import collect_cliques_at_least
+from repro.graph.cliques import maximal_cliques_at_least
 
 __all__ = [
     "unitary_expansion",
@@ -257,7 +257,7 @@ def _ring_pass(graph: Graph, k: int, members: set) -> set:
         ring_subgraph = graph.subgraph(snapshot)
         # The enumeration reads only the immutable ring snapshot, so
         # the eager list sees exactly what lazy iteration would.
-        for clique in collect_cliques_at_least(ring_subgraph, k + 1 - r):
+        for clique in maximal_cliques_at_least(ring_subgraph, k + 1 - r):
             obs.count("expansion.rme.clique_checks")
             if any(v not in buckets[r] for v in clique):
                 continue  # a member was absorbed or promoted meanwhile

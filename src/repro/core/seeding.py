@@ -33,7 +33,7 @@ from repro import obs
 from repro.errors import ParameterError
 from repro.flow.connectivity import find_vertex_cut, is_k_vertex_connected
 from repro.graph.adjacency import Graph
-from repro.graph.cliques import collect_cliques_at_least
+from repro.graph.cliques import maximal_cliques_at_least
 from repro.graph.forests import k_bfs_seed_components
 from repro.graph.kcore import k_core
 from repro.graph.traversal import connected_components
@@ -189,7 +189,7 @@ def kbfs_seeds(
 
 def clique_seeds(graph: Graph, k: int) -> list[set]:
     """Seeds from maximal cliques of size ≥ k+1 (BK-MCQ stage)."""
-    return [set(c) for c in collect_cliques_at_least(graph, k + 1)]
+    return [set(c) for c in maximal_cliques_at_least(graph, k + 1)]
 
 
 def lkvcs_seeds(

@@ -96,9 +96,10 @@ class VertexSplitNetwork:
         # just 0..2n-1.
         dinic.add_split_pairs()
         # Edge arcs must exceed any possible flow value so minimum cuts
-        # cross only internal arcs — that is what lets min_vertex_cut
-        # read the cut as a set of *vertices*. Total flow is capped by
-        # the n unit internal arcs, so 2n + 1 is safely "infinite".
+        # cross only internal arcs — that is what lets
+        # vertex_cut_if_below read the cut as a set of *vertices*. Total
+        # flow is capped by the n unit internal arcs, so 2n + 1 is
+        # safely "infinite".
         big = 2 * n + 1
         endpoints: list[int] = []
         adjacent: dict[Hashable, set] = {}
@@ -145,10 +146,6 @@ class VertexSplitNetwork:
         """Number of (real + virtual) vertices in the network."""
         return len(self._index)
 
-    def contains(self, u: Hashable) -> bool:
-        """Whether ``u`` is a member or virtual vertex of this network."""
-        return u in self._index
-
     def adjacent(self, u: Hashable, v: Hashable) -> bool:
         """Whether ``u`` and ``v`` are adjacent inside the network."""
         return v in self._adjacent[u]
@@ -168,9 +165,9 @@ class VertexSplitNetwork:
         Equals κ(source, sink) inside the network by Menger's theorem.
         Adjacent pairs are rejected: no vertex removal separates an
         edge's endpoints, the paper defines κ = ∞ there, and the split
-        network's unbounded direct arc would return garbage. Use
-        :meth:`local_connectivity_at_least`, which folds the adjacency
-        convention in.
+        network's unbounded direct arc would return garbage. Callers
+        test :meth:`adjacent` first, or use :meth:`vertex_cut_if_below`,
+        which folds the adjacency convention in.
         """
         if source == sink:
             raise ParameterError("source and sink must differ")
@@ -179,8 +176,7 @@ class VertexSplitNetwork:
                 raise ParameterError(f"{label!r} is not in the network")
         if self.adjacent(source, sink):
             raise ParameterError(
-                f"{source!r} and {sink!r} are adjacent: κ is unbounded "
-                "(use local_connectivity_at_least)"
+                f"{source!r} and {sink!r} are adjacent: κ is unbounded"
             )
         if self._queries:
             obs.count("flow.network.reuses")
@@ -189,20 +185,6 @@ class VertexSplitNetwork:
         s = 2 * self._index[source] + 1  # source's out-node
         t = 2 * self._index[sink]  # sink's in-node
         return self._dinic.max_flow(s, t, cutoff=cutoff)
-
-    def local_connectivity_at_least(
-        self, source: Hashable, sink: Hashable, k: int
-    ) -> bool:
-        """Whether κ(source, sink) ≥ k inside the network.
-
-        Adjacent pairs are infinitely connected by convention
-        (Definition 4 of the paper), hence always True.
-        """
-        if k <= 0:
-            return True
-        if self.adjacent(source, sink):
-            return True
-        return self.max_flow(source, sink, cutoff=k) >= k
 
     def vertex_cut_if_below(
         self, source: Hashable, sink: Hashable, k: int
@@ -220,10 +202,8 @@ class VertexSplitNetwork:
         flow = self.max_flow(source, sink, cutoff=k)
         if flow >= k:
             return None
-        return self._read_cut(source)
-
-    def _read_cut(self, source: Hashable) -> set:
-        """Extract the vertex cut from the current residual network."""
+        # A vertex is in the cut iff the residual network reaches its
+        # in-node from the source but not its out-node.
         side = self._dinic.min_cut_side(2 * self._index[source] + 1)
         cut: set = set()
         for label, i in self._index.items():
@@ -248,17 +228,3 @@ class VertexSplitNetwork:
             if tail % 2 == 1 and head % 2 == 0:
                 arcs.append((labels[tail // 2], labels[head // 2]))
         return arcs
-
-    def min_vertex_cut(self, source: Hashable, sink: Hashable) -> set:
-        """A minimum vertex cut separating two *non-adjacent* vertices.
-
-        Runs max-flow to completion, then reads the cut off the residual
-        reachability: a vertex is in the cut iff its in-node is reachable
-        from the source but its out-node is not.
-        """
-        if self.adjacent(source, sink):
-            raise ParameterError(
-                f"{source!r} and {sink!r} are adjacent; no vertex cut exists"
-            )
-        self.max_flow(source, sink)  # leaves residual state in _dinic
-        return self._read_cut(source)

@@ -10,11 +10,8 @@ from repro._lazy import lazy_exports
 #: Re-exported name → its module, imported on first access (repro._lazy).
 _EXPORTS = {
     "Graph": "repro.graph.adjacency",
-    "max_clique_size": "repro.graph.cliques",
-    "maximal_cliques": "repro.graph.cliques",
     "maximal_cliques_at_least": "repro.graph.cliques",
     "CsrGraph": "repro.graph.csr",
-    "bfs_forest": "repro.graph.forests",
     "k_bfs_forests": "repro.graph.forests",
     "k_bfs_seed_components": "repro.graph.forests",
     "sparse_certificate": "repro.graph.forests",
@@ -30,25 +27,17 @@ _EXPORTS = {
     "planted_kvcc_graph": "repro.graph.generators",
     "powerlaw_cluster_graph": "repro.graph.generators",
     "random_gnm": "repro.graph.generators",
-    "social_fringe_graph": "repro.graph.generators",
     "ue_trap_graph": "repro.graph.generators",
     "parse_edge_list": "repro.graph.io",
     "read_edge_list": "repro.graph.io",
     "write_edge_list": "repro.graph.io",
     "core_numbers": "repro.graph.kcore",
-    "degeneracy": "repro.graph.kcore",
     "degeneracy_ordering": "repro.graph.kcore",
     "k_core": "repro.graph.kcore",
-    "average_clustering": "repro.graph.stats",
-    "degree_histogram": "repro.graph.stats",
-    "density": "repro.graph.stats",
-    "triangle_count": "repro.graph.stats",
     "bfs_order": "repro.graph.traversal",
-    "bfs_tree_edges": "repro.graph.traversal",
     "component_of": "repro.graph.traversal",
     "connected_components": "repro.graph.traversal",
     "is_connected": "repro.graph.traversal",
-    "shortest_path_lengths": "repro.graph.traversal",
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
@@ -58,26 +47,18 @@ __all__ = [
     "Graph",
     "attach_mixed_chains",
     "attach_support_pairs",
-    "average_clustering",
-    "bfs_forest",
     "bfs_order",
-    "bfs_tree_edges",
     "circulant_graph",
     "clique_graph",
     "community_graph",
     "component_of",
     "connected_components",
     "core_numbers",
-    "degeneracy",
     "degeneracy_ordering",
-    "degree_histogram",
-    "density",
     "is_connected",
     "k_bfs_forests",
     "k_bfs_seed_components",
     "k_core",
-    "max_clique_size",
-    "maximal_cliques",
     "maximal_cliques_at_least",
     "mixed_community_graph",
     "nbm_trap_graph",
@@ -87,10 +68,7 @@ __all__ = [
     "powerlaw_cluster_graph",
     "random_gnm",
     "read_edge_list",
-    "shortest_path_lengths",
-    "social_fringe_graph",
     "sparse_certificate",
-    "triangle_count",
     "ue_trap_graph",
     "write_edge_list",
 ]

@@ -21,7 +21,16 @@ from repro.errors import GraphError
 
 Vertex = TypeVar("Vertex", bound=Hashable)
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "label_key"]
+
+
+def label_key(label: Hashable) -> tuple[int, int | str]:
+    """The canonical order over vertex labels: ints numerically
+    (negatives included), then other labels by their ``str``. An int is
+    never compared with a str, so any mix of the two sorts."""
+    if isinstance(label, int):
+        return (0, label)
+    return (1, str(label))
 
 
 class Graph:

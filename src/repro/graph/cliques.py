@@ -1,15 +1,15 @@
 """Maximal clique enumeration (Bron–Kerbosch) for seeding and RME.
 
-Two entry points:
-
-* :func:`maximal_cliques` — all maximal cliques of a graph, Bron–Kerbosch
-  with Tomita pivoting over a degeneracy-ordered outer loop (the
-  Eppstein–Strash scheme the paper cites, O(d · n · 3^(d/3))).
-* :func:`maximal_cliques_at_least` — only maximal cliques of at least a
-  given size, with subtree pruning (branches where ``|R| + |P|`` cannot
-  reach the threshold are cut). QkVCS uses this with ``min_size = k + 1``
-  (a (k+1)-clique is k-vertex connected); RME uses it inside candidate
-  rings with ``min_size = k - r + 1``.
+:func:`maximal_cliques_at_least` lists the maximal cliques of at least
+a given size: Bron–Kerbosch with Tomita pivoting over a
+degeneracy-ordered outer loop (the Eppstein–Strash scheme the paper
+cites, O(d · n · 3^(d/3))), with subtree pruning (branches where
+``|R| + |P|`` cannot reach the threshold are cut). QkVCS uses it with
+``min_size = k + 1`` (a (k+1)-clique is k-vertex connected); RME uses
+it inside candidate rings with ``min_size = k - r + 1``; ``min_size =
+1`` lists every maximal clique. :func:`cliques_from_roots` is its outer
+loop over a slice of the ordering, which the parallel seeding stage
+splits across workers.
 
 The recursion depth equals the size of the clique being grown, which is
 bounded by the largest clique in the graph — far below CPython's
@@ -18,18 +18,13 @@ recursion limit for any graph this library targets.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable
 
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.kcore import degeneracy_ordering
 
-__all__ = [
-    "collect_cliques_at_least",
-    "maximal_cliques",
-    "maximal_cliques_at_least",
-    "max_clique_size",
-]
+__all__ = ["cliques_from_roots", "maximal_cliques_at_least"]
 
 
 def _expand(
@@ -46,7 +41,7 @@ def _expand(
     order) instead of yielding them: the recursion runs tens of
     thousands of frames per enumeration, and a generator chain pays a
     generator object per frame plus a ``yield from`` hop per clique
-    per level. The public entry points remain lazy per outer root.
+    per level.
     """
     if not candidates and not excluded:
         if len(clique) >= min_size:
@@ -99,51 +94,37 @@ def _expand(
         excluded.add(v)
 
 
-def maximal_cliques(graph: Graph) -> Iterator[frozenset]:
-    """Enumerate every maximal clique of ``graph`` exactly once."""
-    yield from maximal_cliques_at_least(graph, 1)
-
-
-def maximal_cliques_at_least(
-    graph: Graph, min_size: int
-) -> Iterator[frozenset]:
-    """Enumerate maximal cliques with at least ``min_size`` vertices.
+def maximal_cliques_at_least(graph: Graph, min_size: int) -> list[frozenset]:
+    """Maximal cliques with at least ``min_size`` vertices, each once.
 
     The outer loop walks a degeneracy ordering (Eppstein–Strash), so each
     root call has a candidate set no larger than the graph degeneracy.
     """
-    if min_size < 1:
-        raise ParameterError(f"min_size must be >= 1, got {min_size}")
     order = degeneracy_ordering(graph)
     position = {u: i for i, u in enumerate(order)}
-    for u in order:
-        nbrs = graph.neighbors(u)
-        pu = position[u]
-        later = {v for v in nbrs if position[v] > pu}
-        earlier = set(nbrs) - later
-        if 1 + len(later) < min_size:
-            continue
-        found: list = []
-        _expand(graph, [u], later, earlier, min_size, found)
-        yield from found
+    return cliques_from_roots(graph, min_size, position, order)
 
 
-def collect_cliques_at_least(graph: Graph, min_size: int) -> list[frozenset]:
-    """Eager form of :func:`maximal_cliques_at_least`.
+def cliques_from_roots(
+    graph: Graph,
+    min_size: int,
+    position: dict,
+    roots: Iterable,
+) -> list[frozenset]:
+    """Maximal cliques rooted at the given degeneracy-order positions.
 
-    Returns the same cliques in the same order as the generator, but
-    appends every root's findings into one list — full-enumeration
-    consumers (seeding, RME rings) drain the generator anyway, and the
-    per-clique resumption cost is measurable there. Early-exit callers
-    (:func:`max_clique_size`) should keep the lazy form.
+    ``position`` maps each vertex to its index in one fixed degeneracy
+    ordering; a clique is found from its earliest member only. The
+    union over slices of the ordering equals the enumeration over all
+    of it, with no duplicates across slices. Every root appends into
+    one list: the callers drain the whole enumeration, and a lazy
+    per-clique resumption cost is measurable there.
     """
     if min_size < 1:
         raise ParameterError(f"min_size must be >= 1, got {min_size}")
-    order = degeneracy_ordering(graph)
-    position = {u: i for i, u in enumerate(order)}
     adj = graph._adj
     found: list = []
-    for u in order:
+    for u in roots:
         nbrs = adj[u]
         pu = position[u]
         later = {v for v in nbrs if position[v] > pu}
@@ -151,48 +132,3 @@ def collect_cliques_at_least(graph: Graph, min_size: int) -> list[frozenset]:
             continue
         _expand(graph, [u], later, set(nbrs) - later, min_size, found)
     return found
-
-
-def cliques_from_roots(
-    graph: Graph,
-    min_size: int,
-    position: dict,
-    roots: list,
-) -> Iterator[frozenset]:
-    """Maximal cliques rooted at the given degeneracy-order positions.
-
-    The parallel seeding stage splits the outer loop of
-    :func:`maximal_cliques_at_least` across workers: each worker calls
-    this with its slice of ``roots`` and the shared ``position`` map
-    (vertex → index in one fixed degeneracy ordering). The union over
-    all slices equals the sequential enumeration, with no duplicates
-    across slices.
-    """
-    if min_size < 1:
-        raise ParameterError(f"min_size must be >= 1, got {min_size}")
-    for u in roots:
-        nbrs = graph.neighbors(u)
-        pu = position[u]
-        later = {v for v in nbrs if position[v] > pu}
-        earlier = set(nbrs) - later
-        if 1 + len(later) < min_size:
-            continue
-        found: list = []
-        _expand(graph, [u], later, earlier, min_size, found)
-        yield from found
-
-
-def max_clique_size(graph: Graph) -> int:
-    """Size of the largest clique (0 for the empty graph).
-
-    Repeatedly raises the pruning threshold, so it is usually much
-    faster than enumerating all maximal cliques.
-    """
-    best = 0
-    lower = 1
-    while True:
-        found = next(iter(maximal_cliques_at_least(graph, lower)), None)
-        if found is None:
-            return best
-        best = max(best, len(found))
-        lower = best + 1

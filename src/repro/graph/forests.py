@@ -20,39 +20,20 @@ from repro.graph.traversal import (
 )
 
 __all__ = [
-    "bfs_forest",
     "k_bfs_forests",
     "k_bfs_seed_components",
     "sparse_certificate",
 ]
 
 
-def bfs_forest(
-    graph: Graph, forbidden_edges: set
-) -> list[tuple[object, object]]:
-    """A spanning BFS forest of ``graph`` avoiding ``forbidden_edges``.
-
-    ``forbidden_edges`` holds frozensets of endpoints. Every vertex is
-    covered: a fresh BFS tree is grown from each yet-unvisited vertex.
-    """
-    used_adj: dict = {}
-    for edge in forbidden_edges:
-        u, v = edge
-        used_adj.setdefault(u, set()).add(v)
-        used_adj.setdefault(v, set()).add(u)
-    return _forest_avoiding(graph, used_adj)
-
-
 def _forest_avoiding(
     graph: Graph, used_adj: dict
 ) -> list[tuple[object, object]]:
-    """:func:`bfs_forest` on the incremental dict-of-sets form.
+    """A spanning BFS forest of ``graph`` avoiding the edges in ``used_adj``.
 
-    The k-round construction scans every graph edge once per round, so
-    the forbidden-edge probe is the hot operation: a per-vertex set
-    lookup here versus a frozenset allocation per scanned edge in the
-    public-API form. Traversal order — and thus the forests — are
-    identical.
+    Every vertex is covered: a fresh BFS tree is grown from each
+    yet-unvisited vertex. ``used_adj`` maps a vertex to the neighbours
+    it must not reach directly (see ``_bfs_tree_edges_avoiding``).
     """
     covered: set = set()
     forest: list[tuple[object, object]] = []

@@ -49,7 +49,6 @@ __all__ = [
     "planted_kvcc_graph",
     "powerlaw_cluster_graph",
     "random_gnm",
-    "social_fringe_graph",
     "ue_trap_graph",
 ]
 
@@ -514,41 +513,6 @@ def overlapping_cliques_graph(
         v = rng.randrange(n)
         if u != v:
             graph.add_edge(u, v)
-    return graph
-
-
-def social_fringe_graph(
-    core_size: int,
-    k: int,
-    fringe: int,
-    seed: int,
-    extra_edge_prob: float = 0.2,
-    periphery_pairs: int = 0,
-) -> Graph:
-    """One giant k-vertex connected core with a large sparse fringe.
-
-    Models socfb-konect: a single dominant k-VCC plus many low-degree
-    vertices — the regime where maintaining one huge seed dominates
-    memory and thin tendrils trip naive merging.
-    """
-    graph = community_graph(
-        [core_size],
-        k,
-        seed,
-        extra_edge_prob=extra_edge_prob,
-        periphery_pairs=periphery_pairs,
-    )
-    rng = random.Random(seed + 7)
-    next_label = core_size
-    anchors = list(range(core_size - 2 * periphery_pairs))
-    for _ in range(fringe):
-        # Short tendrils: chains of 1–3 vertices hanging off the core.
-        chain = rng.randint(1, 3)
-        prev = rng.choice(anchors)
-        for _ in range(chain):
-            graph.add_edge(prev, next_label)
-            prev = next_label
-            next_label += 1
     return graph
 
 

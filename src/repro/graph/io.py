@@ -25,7 +25,7 @@ import os
 from collections.abc import Hashable, Iterable, Iterator
 
 from repro.errors import GraphError, GraphFormatError
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, label_key
 from repro.graph.csr import CsrGraph
 
 __all__ = [
@@ -245,23 +245,16 @@ def load_snap_graph(path: str) -> Graph:
 def write_edge_list(graph: Graph, path: str | os.PathLike) -> None:
     """Write a graph as a sorted edge list (stable output for diffing)."""
     lines = sorted(
-        f"{u} {v}" if _key(u) <= _key(v) else f"{v} {u}"
+        f"{u} {v}" if label_key(u) <= label_key(v) else f"{v} {u}"
         for u, v in graph.edges()
     )
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(
             f"# repro edge list: n={graph.num_vertices} m={graph.num_edges}\n"
         )
-        for u in sorted(graph.vertices(), key=_key):
+        for u in sorted(graph.vertices(), key=label_key):
             if graph.degree(u) == 0:
                 handle.write(f"{u}\n")
         handle.write("\n".join(lines))
         if lines:
             handle.write("\n")
-
-
-def _key(value) -> tuple[int, str]:
-    """Ordering key that works across mixed int/str vertex labels."""
-    if isinstance(value, int):
-        return (0, f"{value:020d}")
-    return (1, str(value))

@@ -2,9 +2,9 @@
 
 RIPPLE (Algorithm 5, line 2) prunes the input to its k-core before any
 seeding: every vertex of a k-VCC has degree ≥ k inside the component, so
-vertices outside the k-core can never belong to one. The peeling also
-yields core numbers and graph degeneracy, which the Bron–Kerbosch
-degeneracy ordering reuses.
+vertices outside the k-core can never belong to one. The same min-degree
+peeling yields core numbers and the degeneracy ordering that
+Bron–Kerbosch walks.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Hashable
 from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 
-__all__ = ["k_core", "core_numbers", "degeneracy", "degeneracy_ordering"]
+__all__ = ["k_core", "core_numbers", "degeneracy_ordering"]
 
 
 def k_core(graph: Graph, k: int) -> Graph:
@@ -72,12 +72,6 @@ def core_numbers(graph: Graph) -> dict:
                 buckets[d - 1].add(v)
                 remaining[v] = d - 1
     return core
-
-
-def degeneracy(graph: Graph) -> int:
-    """Graph degeneracy: the maximum core number (0 for the empty graph)."""
-    numbers = core_numbers(graph)
-    return max(numbers.values()) if numbers else 0
 
 
 def degeneracy_ordering(graph: Graph) -> list:

@@ -14,11 +14,9 @@ from repro.graph.adjacency import Graph
 
 __all__ = [
     "bfs_order",
-    "bfs_tree_edges",
     "connected_components",
     "is_connected",
     "component_of",
-    "shortest_path_lengths",
 ]
 
 
@@ -39,35 +37,15 @@ def bfs_order(graph: Graph, source: Hashable) -> list:
     return order
 
 
-def bfs_tree_edges(
-    graph: Graph, source: Hashable, forbidden_edges: set | None = None
-) -> list[tuple[Hashable, Hashable]]:
-    """Edges of a BFS tree rooted at ``source``.
-
-    ``forbidden_edges`` is a set of frozensets of endpoints that the
-    traversal must not use; this is what the Nagamochi–Ibaraki style
-    k-round BFS forest construction needs.
-    """
-    if not graph.has_vertex(source):
-        raise GraphError(f"source {source!r} not in graph")
-    used_adj: dict = {}
-    for edge in forbidden_edges or ():
-        u, v = edge
-        used_adj.setdefault(u, set()).add(v)
-        used_adj.setdefault(v, set()).add(u)
-    return _bfs_tree_edges_avoiding(graph, source, used_adj)
-
-
 def _bfs_tree_edges_avoiding(
     graph: Graph, source: Hashable, used_adj: dict
 ) -> list[tuple[Hashable, Hashable]]:
-    """:func:`bfs_tree_edges` with forbidden edges as a dict of sets.
+    """Edges of a BFS tree rooted at ``source``, avoiding used edges.
 
     ``used_adj`` maps a vertex to the set of neighbours it must not
-    reach directly. The k-round forest construction keeps this
-    structure incrementally (:mod:`repro.graph.forests`), turning the
-    per-scanned-edge frozenset construction of the public API into one
-    set-membership probe. Traversal order is identical.
+    reach directly: the edges of earlier forests, which the k-round
+    forest construction (:mod:`repro.graph.forests`) keeps
+    incrementally, so each scanned edge costs one set-membership probe.
     """
     tree: list[tuple[Hashable, Hashable]] = []
     seen = {source}
@@ -135,18 +113,3 @@ def is_connected(graph: Graph) -> bool:
 def component_of(graph: Graph, vertex: Hashable) -> set:
     """The vertex set of the connected component containing ``vertex``."""
     return set(bfs_order(graph, vertex))
-
-
-def shortest_path_lengths(graph: Graph, source: Hashable) -> dict:
-    """Unweighted shortest-path length from ``source`` to every reachable vertex."""
-    if not graph.has_vertex(source):
-        raise GraphError(f"source {source!r} not in graph")
-    dist = {source: 0}
-    queue = deque((source,))
-    while queue:
-        u = queue.popleft()
-        for v in graph.neighbors(u):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist

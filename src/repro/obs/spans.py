@@ -305,11 +305,6 @@ class SpanRecorder:
         if self._stack:
             self._stack[-1].attrs.update(attrs)
 
-    @property
-    def current(self) -> Span | None:
-        """The innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     def is_empty(self) -> bool:
         """True when nothing has been recorded or adopted."""
         return not self.roots and not self._stack and not self.dropped

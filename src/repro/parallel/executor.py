@@ -109,10 +109,8 @@ def _clique_roots_task(
     position, roots = payload
     with obs.collecting(spans=_WORKER_SPANS) as collector:
         with obs.start_span("task.cliques", roots=len(roots)):
-            cliques = list(
-                cliques_from_roots(
-                    _WORKER_GRAPH, _WORKER_K + 1, position, list(roots)
-                )
+            cliques = cliques_from_roots(
+                _WORKER_GRAPH, _WORKER_K + 1, position, roots
             )
     return cliques, collector.snapshot()
 

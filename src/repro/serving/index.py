@@ -46,6 +46,7 @@ from repro import obs
 from repro.core.hierarchy import kvcc_hierarchy
 from repro.errors import IndexCorruptionError, ParameterError, ParseError
 from repro.graph.adjacency import Graph
+from repro.graph.adjacency import label_key as _label_key
 from repro.resilience.faults import FaultInjected
 from repro.serving import chaos
 
@@ -64,15 +65,6 @@ def _check_label(vertex: Hashable) -> Hashable:
             f"got {vertex!r} ({type(vertex).__name__})"
         )
     return vertex
-
-
-def _label_key(vertex: Hashable) -> tuple[int, int | str]:
-    """The canonical order over mixed int/str labels: ints numerically
-    (negatives included), then strs by code point. An int is never
-    compared with a str, so any mix of the two sorts."""
-    if isinstance(vertex, int):
-        return (0, vertex)
-    return (1, vertex)
 
 
 def ordered_members(component: frozenset) -> tuple:
@@ -257,15 +249,6 @@ class KvccIndex:
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         return k <= self.ceiling or self.complete
-
-    def components_at(self, k: int) -> tuple[frozenset, ...]:
-        """Every k-VCC at level ``k`` (empty above the ceiling)."""
-        if not self.covers(k):
-            raise ParameterError(
-                f"k={k} is above the indexed ceiling "
-                f"({self.ceiling}, capped at max_k={self._max_k})"
-            )
-        return self._levels.get(k, ())
 
     def containing(self, vertex: Hashable, k: int) -> tuple[frozenset, ...]:
         """All k-VCCs at level ``k`` containing ``vertex`` (maybe several:

@@ -134,7 +134,6 @@ def render_prometheus(
     admission=None,
     engine=None,
     started_at: float | None = None,
-    extra_gauges: dict | None = None,
 ) -> str:
     """The collector's state as Prometheus text exposition v0.0.4.
 
@@ -256,10 +255,6 @@ def render_prometheus(
             "gauge",
             time.monotonic() - started_at,
             "Seconds since the daemon started.",
-        )
-    for name, value in sorted((extra_gauges or {}).items()):
-        emit_single(
-            _metric_name(name), "gauge", value, f"Gauge {name}."
         )
     return "\n".join(lines) + "\n"
 

@@ -89,6 +89,12 @@ class TestExperimentSlices:
 
 class TestSanityCheck:
     def test_ripple_outputs_verify_on_dataset(self):
-        from repro.bench.experiments import sanity_check_outputs
+        from repro.core import ripple
+        from repro.datasets import DATASETS
+        from repro.flow import is_k_vertex_connected
 
-        assert sanity_check_outputs("uk-2005", 7)
+        graph = DATASETS["uk-2005"].graph()
+        components = ripple(graph, 7).components
+        assert components
+        for component in components:
+            assert is_k_vertex_connected(graph.subgraph(component), 7)

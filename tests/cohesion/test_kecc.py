@@ -1,72 +1,20 @@
-"""Tests for edge connectivity and k-ECC enumeration."""
+"""Tests for edge cuts and k-ECC enumeration."""
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cohesion import (
-    find_edge_cut,
-    global_edge_connectivity,
-    k_edge_components,
-    local_edge_connectivity,
-)
+from repro.cohesion import find_edge_cut, k_edge_components
 from repro.errors import ParameterError
 from repro.graph import (
     Graph,
-    circulant_graph,
     clique_graph,
     community_graph,
     component_of,
     random_gnm,
 )
 from tests.conftest import to_networkx
-
-
-class TestLocalEdgeConnectivity:
-    def test_known_values(self):
-        g = clique_graph(5)
-        assert local_edge_connectivity(g, 0, 4) == 4
-        path = Graph.from_edges([(0, 1), (1, 2)])
-        assert local_edge_connectivity(path, 0, 2) == 1
-
-    def test_validation(self):
-        g = clique_graph(3)
-        with pytest.raises(ParameterError):
-            local_edge_connectivity(g, 1, 1)
-        with pytest.raises(ParameterError):
-            local_edge_connectivity(g, 0, 99)
-
-    @given(st.integers(min_value=0, max_value=600))
-    @settings(max_examples=20, deadline=None)
-    def test_matches_networkx(self, seed):
-        g = random_gnm(12, 28, seed=seed)
-        nxg = to_networkx(g)
-        vertices = sorted(g.vertices())
-        for u, v in [(vertices[0], w) for w in vertices[1:5]]:
-            ours = local_edge_connectivity(g, u, v)
-            theirs = nx.edge_connectivity(nxg, u, v)
-            assert ours == theirs
-
-
-class TestGlobalEdgeConnectivity:
-    def test_known_values(self):
-        assert global_edge_connectivity(clique_graph(6)) == 5
-        assert global_edge_connectivity(circulant_graph(10, 2)) == 4
-        two = Graph.from_edges([(0, 1), (2, 3)])
-        assert global_edge_connectivity(two) == 0
-
-    def test_tiny_raises(self):
-        with pytest.raises(ParameterError):
-            global_edge_connectivity(Graph())
-
-    @given(st.integers(min_value=0, max_value=600))
-    @settings(max_examples=15, deadline=None)
-    def test_matches_networkx(self, seed):
-        g = random_gnm(12, 26, seed=seed)
-        assert global_edge_connectivity(g) == nx.edge_connectivity(
-            to_networkx(g)
-        )
 
 
 class TestFindEdgeCut:

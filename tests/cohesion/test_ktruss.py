@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cohesion import k_truss, truss_numbers
+from repro.cohesion import k_truss
 from repro.errors import ParameterError
 from repro.graph import Graph, clique_graph, random_gnm
 from tests.conftest import to_networkx
@@ -41,19 +41,3 @@ class TestKTruss:
             theirs = nx.k_truss(to_networkx(g), k)
             assert ours.vertex_set() == set(theirs.nodes()), (seed, k)
             assert ours.num_edges == theirs.number_of_edges(), (seed, k)
-
-
-class TestTrussNumbers:
-    def test_clique(self):
-        numbers = truss_numbers(clique_graph(5))
-        assert set(numbers.values()) == {5}
-
-    def test_consistent_with_k_truss(self):
-        for seed in range(5):
-            g = random_gnm(14, 40, seed=seed)
-            numbers = truss_numbers(g)
-            for k in (3, 4):
-                truss = k_truss(g, k)
-                kept = {frozenset(e) for e in truss.edges()}
-                by_number = {e for e, t in numbers.items() if t >= k}
-                assert kept == by_number, (seed, k)

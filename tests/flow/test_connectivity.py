@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.flow import (
+    VertexSplitNetwork,
     connectivity_search,
     find_vertex_cut,
     global_vertex_connectivity,
     is_k_vertex_connected,
-    is_k_vertex_connected_subset,
-    local_connectivity,
-    local_connectivity_at_least,
 )
 from repro.graph import (
     Graph,
@@ -26,6 +24,7 @@ from repro.graph import (
     random_gnm,
 )
 from tests.conftest import brute_force_is_k_connected, to_networkx
+from tests.test_paper_theory import is_side_vertex, local_connectivity
 
 
 def path_graph(n: int) -> Graph:
@@ -48,10 +47,13 @@ class TestLocalConnectivity:
         assert local_connectivity(g, 0, 3) == 0
 
     def test_at_least_variants(self):
+        # κ(u, v) ≥ k as ME and FBM ask it: adjacency first, then a flow
+        # cut off at k.
         g = circulant_graph(10, 2)  # 4-connected
-        assert local_connectivity_at_least(g, 0, 5, 4)
-        assert not local_connectivity_at_least(g, 0, 5, 5)
-        assert local_connectivity_at_least(g, 0, 1, 99)  # adjacent
+        net = VertexSplitNetwork(g)
+        assert net.max_flow(0, 5, cutoff=4) >= 4
+        assert net.max_flow(0, 5, cutoff=5) < 5
+        assert net.adjacent(0, 1)
 
     @given(st.integers(min_value=0, max_value=800))
     @settings(max_examples=20, deadline=None)
@@ -202,8 +204,8 @@ class TestIsKVertexConnected:
 
     def test_subset_variant(self):
         g = community_graph([10, 10], k=3, seed=2)
-        assert is_k_vertex_connected_subset(g, set(range(10)), 3)
-        assert not is_k_vertex_connected_subset(g, g.vertex_set(), 3)
+        assert is_k_vertex_connected(g.subgraph(set(range(10))), 3)
+        assert not is_k_vertex_connected(g, 3)
 
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=15, deadline=None)
@@ -240,8 +242,6 @@ class TestGlobalConnectivity:
 
 class TestSideVertex:
     def test_simplicial_vertices_are_side_vertices(self):
-        from repro.flow import is_side_vertex
-
         # two K4s sharing an edge: the shared pair is the unique 2-cut
         g = clique_graph(4)
         for u, v in clique_graph(4, offset=2).edges():
@@ -254,15 +254,11 @@ class TestSideVertex:
             assert not is_side_vertex(g, v, 3), v
 
     def test_clique_members_always_side_vertices(self):
-        from repro.flow import is_side_vertex
-
         g = clique_graph(5)
         for v in g.vertices():
             assert is_side_vertex(g, v, 3)
 
     def test_validation(self):
-        from repro.flow import is_side_vertex
-
         with pytest.raises(ParameterError):
             is_side_vertex(clique_graph(3), 0, 0)
         with pytest.raises(ParameterError):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphError, ParameterError
 from repro.flow import VertexSplitNetwork
-from repro.graph import Graph, clique_graph, community_graph, random_gnm
+from repro.graph import (
+    Graph,
+    circulant_graph,
+    clique_graph,
+    community_graph,
+    random_gnm,
+)
 from tests.conftest import to_networkx
 
 
@@ -24,7 +30,8 @@ class TestConstruction:
         g = clique_graph(6)
         net = VertexSplitNetwork(g, members={0, 1, 2})
         assert net.size == 3
-        assert not net.contains(5)
+        with pytest.raises(ParameterError):
+            net.max_flow(0, 5)  # 5 is outside the members
 
     def test_missing_member_raises(self):
         with pytest.raises(GraphError):
@@ -110,7 +117,7 @@ class TestVirtualVertices:
         net = VertexSplitNetwork(
             g, members=g.vertex_set(), virtual_sources={"sigma": [0, 1, 2]}
         )
-        assert net.contains("sigma")
+        assert net.size == 6
         assert net.adjacent("sigma", 0)
         assert not net.adjacent("sigma", 4)
 
@@ -127,31 +134,28 @@ class TestVirtualVertices:
 
 
 class TestLocalConnectivityPredicate:
+    """κ(u, v) ≥ k exactly when ``vertex_cut_if_below`` finds no cut."""
+
     def test_adjacent_always_true(self):
         net = VertexSplitNetwork(path_graph(3))
-        assert net.local_connectivity_at_least(0, 1, 999)
+        assert net.vertex_cut_if_below(0, 1, 999) is None
 
     def test_threshold(self):
-        net = VertexSplitNetwork(clique_graph(5))
-        g_net = net
-        assert g_net.local_connectivity_at_least(0, 4, 4)
+        net = VertexSplitNetwork(circulant_graph(10, 2))  # 4-connected
+        assert net.vertex_cut_if_below(0, 5, 4) is None
+        assert len(net.vertex_cut_if_below(0, 5, 5)) == 4
 
     def test_nonpositive_k_true(self):
         net = VertexSplitNetwork(path_graph(4))
-        assert net.local_connectivity_at_least(0, 3, 0)
+        assert net.vertex_cut_if_below(0, 3, 0) is None
 
 
 class TestVertexCuts:
     def test_min_cut_of_path(self):
         net = VertexSplitNetwork(path_graph(5))
-        cut = net.min_vertex_cut(0, 4)
+        cut = net.vertex_cut_if_below(0, 4, net.size)
         assert len(cut) == 1
         assert cut < {1, 2, 3}
-
-    def test_min_cut_adjacent_raises(self):
-        net = VertexSplitNetwork(clique_graph(3))
-        with pytest.raises(ParameterError):
-            net.min_vertex_cut(0, 1)
 
     def test_cut_if_below_none_when_connected_enough(self):
         net = VertexSplitNetwork(clique_graph(6))
@@ -188,7 +192,7 @@ class TestVertexCuts:
                 flow = net.max_flow(u, v)
                 if flow == 0:
                     continue
-                cut = net.min_vertex_cut(u, v)
+                cut = net.vertex_cut_if_below(u, v, flow + 1)
                 assert len(cut) == flow
                 sub = g.subgraph(g.vertex_set() - cut)
                 assert v not in component_of(sub, u)

@@ -9,8 +9,6 @@ from repro.errors import ParameterError
 from repro.graph import (
     Graph,
     clique_graph,
-    max_clique_size,
-    maximal_cliques,
     maximal_cliques_at_least,
     random_gnm,
 )
@@ -21,33 +19,40 @@ def nx_maximal_cliques(graph: Graph) -> set[frozenset]:
     return {frozenset(c) for c in nx.find_cliques(to_networkx(graph))}
 
 
+def clique_number(graph: Graph) -> int:
+    """Size of the largest clique (0 for the empty graph)."""
+    return max(map(len, maximal_cliques_at_least(graph, 1)), default=0)
+
+
 class TestMaximalCliques:
     def test_single_clique(self):
         g = clique_graph(5)
-        assert set(maximal_cliques(g)) == {frozenset(range(5))}
+        assert set(maximal_cliques_at_least(g, 1)) == {frozenset(range(5))}
 
     def test_triangle_plus_edge(self):
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        cliques = set(maximal_cliques(g))
+        cliques = set(maximal_cliques_at_least(g, 1))
         assert cliques == {frozenset({0, 1, 2}), frozenset({2, 3})}
 
     def test_empty_graph(self):
-        assert list(maximal_cliques(Graph())) == []
+        assert list(maximal_cliques_at_least(Graph(), 1)) == []
 
     def test_isolated_vertices_are_trivial_cliques(self):
         g = Graph.from_edges([], vertices=[1, 2])
-        assert set(maximal_cliques(g)) == {frozenset({1}), frozenset({2})}
+        found = set(maximal_cliques_at_least(g, 1))
+        assert found == {frozenset({1}), frozenset({2})}
 
     def test_no_duplicates(self):
         g = random_gnm(25, 100, seed=11)
-        found = list(maximal_cliques(g))
+        found = list(maximal_cliques_at_least(g, 1))
         assert len(found) == len(set(found))
 
     @given(st.integers(min_value=0, max_value=500))
     @settings(max_examples=25, deadline=None)
     def test_matches_networkx(self, seed):
         g = random_gnm(20, 60, seed=seed)
-        assert set(maximal_cliques(g)) == nx_maximal_cliques(g)
+        found = set(maximal_cliques_at_least(g, 1))
+        assert found == nx_maximal_cliques(g)
 
 
 class TestSizeFiltered:
@@ -68,10 +73,10 @@ class TestSizeFiltered:
 
 class TestMaxCliqueSize:
     def test_known_sizes(self):
-        assert max_clique_size(clique_graph(6)) == 6
-        assert max_clique_size(Graph()) == 0
+        assert clique_number(clique_graph(6)) == 6
+        assert clique_number(Graph()) == 0
         g = Graph.from_edges([(0, 1), (1, 2)])
-        assert max_clique_size(g) == 2
+        assert clique_number(g) == 2
 
     def test_matches_networkx(self):
         for seed in range(5):
@@ -79,4 +84,4 @@ class TestMaxCliqueSize:
             expected = max(
                 (len(c) for c in nx.find_cliques(to_networkx(g))), default=0
             )
-            assert max_clique_size(g) == expected
+            assert clique_number(g) == expected

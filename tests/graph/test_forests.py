@@ -7,7 +7,6 @@ from repro.errors import ParameterError
 from repro.flow import is_k_vertex_connected
 from repro.graph import (
     Graph,
-    bfs_forest,
     circulant_graph,
     clique_graph,
     community_graph,
@@ -22,12 +21,12 @@ from tests.conftest import to_networkx
 class TestBfsForest:
     def test_forest_spans_connected_graph(self):
         g = random_gnm(20, 50, seed=1)
-        forest = bfs_forest(g, forbidden_edges=set())
+        (forest,) = k_bfs_forests(g, 1)
         assert len(forest) == g.num_vertices - 1  # spanning tree
 
     def test_forest_covers_components(self):
         g = Graph.from_edges([(0, 1), (1, 2), (3, 4)])
-        forest = bfs_forest(g, forbidden_edges=set())
+        (forest,) = k_bfs_forests(g, 1)
         assert len(forest) == 3  # n - #components = 5 - 2
 
 

@@ -1,5 +1,6 @@
 """Tests for the synthetic graph generators."""
 
+import networkx as nx
 import pytest
 
 from repro.errors import ParameterError
@@ -15,9 +16,9 @@ from repro.graph import (
     planted_kvcc_graph,
     powerlaw_cluster_graph,
     random_gnm,
-    social_fringe_graph,
     ue_trap_graph,
 )
+from tests.conftest import to_networkx
 
 
 class TestBasicGenerators:
@@ -84,6 +85,16 @@ class TestCommunityGraphs:
         core = k_core(g, k)
         assert core.vertex_set() == set(range(20))
 
+    # The texture DESIGN.md's stand-ins rely on: clique rings are
+    # triangle-rich (clique seeding and RME work), circulants are not.
+    def test_clique_ring_is_triangle_rich(self):
+        g = community_graph([30], k=4, seed=1)
+        assert nx.average_clustering(to_networkx(g)) > 0.5
+
+    def test_minimal_circulant_is_triangle_poor(self):
+        g = community_graph([30], k=4, seed=1, style="circulant")
+        assert nx.average_clustering(to_networkx(g)) < 0.5
+
 
 class TestDomainGenerators:
     def test_overlapping_cliques(self):
@@ -96,12 +107,6 @@ class TestDomainGenerators:
     def test_overlap_validation(self):
         with pytest.raises(ParameterError):
             overlapping_cliques_graph(3, 4, overlap=4, seed=0)
-
-    def test_social_fringe(self):
-        g = social_fringe_graph(core_size=12, k=4, fringe=10, seed=1)
-        core = k_core(g, 4)
-        assert core.vertex_set() == set(range(12))
-        assert g.num_vertices > 12 + 9  # tendrils added
 
     def test_powerlaw_cluster(self):
         g = powerlaw_cluster_graph(80, attach=3, triangle_prob=0.5, seed=2)

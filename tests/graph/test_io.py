@@ -141,6 +141,21 @@ class TestRoundTrip:
         write_edge_list(g, path)
         assert read_edge_list(path) == g
 
+    def test_labels_written_in_numeric_order(self, tmp_path):
+        # Negative ints order by value, not magnitude, and ints of 10**20
+        # or more by value, not as digit strings; strs follow the ints.
+        big, bigger = 9 * 10**19, 10**20
+        g = Graph.from_edges(
+            [(-1, -2), (bigger, big)], vertices=[-3, -10, bigger + 1, "x"]
+        )
+        path = tmp_path / "order.txt"
+        write_edge_list(g, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [
+            "-10", "-3", str(bigger + 1), "x", "-2 -1", f"{big} {bigger}",
+        ]
+        assert read_edge_list(path) == g
+
     def test_write_is_stable(self, tmp_path):
         g = random_gnm(15, 30, seed=1)
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -10,12 +10,16 @@ from repro.graph import (
     Graph,
     clique_graph,
     core_numbers,
-    degeneracy,
     degeneracy_ordering,
     k_core,
     random_gnm,
 )
 from tests.conftest import to_networkx
+
+
+def degeneracy(graph: Graph) -> int:
+    """The largest core number (0 for the empty graph)."""
+    return max(core_numbers(graph).values(), default=0)
 
 
 class TestKCore:

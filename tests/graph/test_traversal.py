@@ -6,11 +6,10 @@ from repro.errors import GraphError
 from repro.graph import (
     Graph,
     bfs_order,
-    bfs_tree_edges,
     component_of,
     connected_components,
     is_connected,
-    shortest_path_lengths,
+    k_bfs_forests,
 )
 
 
@@ -35,16 +34,18 @@ class TestBfs:
             bfs_order(path_graph(3), 99)
 
     def test_tree_edges_span(self):
-        g = path_graph(4)
-        tree = bfs_tree_edges(g, 0)
+        # The first BFS forest of a connected graph is one spanning tree.
+        (tree,) = k_bfs_forests(path_graph(4), 1)
         assert len(tree) == 3
 
     def test_tree_edges_forbidden(self):
+        # The second round's BFS may use only the edge the first left.
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2)])
-        tree = bfs_tree_edges(g, 0, forbidden_edges={frozenset((0, 1))})
-        covered = {0} | {v for e in tree for v in e}
-        assert covered == {0, 1, 2}
-        assert frozenset((0, 1)) not in {frozenset(e) for e in tree}
+        first, second = k_bfs_forests(g, 2)
+        assert {v for e in first for v in e} == {0, 1, 2}
+        used = {frozenset(e) for e in first}
+        left = {frozenset(e) for e in g.edges()} - used
+        assert {frozenset(e) for e in second} == left
 
 
 class TestComponents:
@@ -66,18 +67,3 @@ class TestComponents:
         g = Graph.from_edges([(0, 1), (2, 3)])
         assert component_of(g, 0) == {0, 1}
         assert component_of(g, 3) == {2, 3}
-
-
-class TestShortestPaths:
-    def test_path_lengths(self):
-        dist = shortest_path_lengths(path_graph(5), 0)
-        assert dist == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_unreachable_absent(self):
-        g = Graph.from_edges([(0, 1), (2, 3)])
-        dist = shortest_path_lengths(g, 0)
-        assert 2 not in dist
-
-    def test_missing_source_raises(self):
-        with pytest.raises(GraphError):
-            shortest_path_lengths(path_graph(2), 77)

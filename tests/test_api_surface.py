@@ -96,3 +96,7 @@ def test_reproduce_script_importable():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+    from repro.cli import _BENCHES
+
+    # The report renders every `ripple bench` table, each once.
+    assert sorted(module.SECTIONS) == sorted(_BENCHES)

@@ -34,7 +34,7 @@ print(json.dumps({
     "cap": dinic.cap,
     "to": dinic.to,
     "head": dinic.head,
-    "cut": sorted(map(str, net.min_vertex_cut("8", "s"))),
+    "cut": sorted(map(str, net.vertex_cut_if_below("8", "s", net.size))),
 }))
 """
 

@@ -14,6 +14,10 @@ implementation rests on, on randomized instances:
   admit unsound instances (the distinct-representatives corner case),
   which is exactly why :func:`ring_expansion` runs the strengthened
   matching check. We construct the counterexample explicitly.
+
+The Lemma 1 oracles — κ(u, v) with Definition 4's adjacency convention
+and the side-vertex check — live here; ``tests/flow/test_connectivity.py``
+checks them against networkx and known graphs.
 """
 
 import math
@@ -23,13 +27,51 @@ from hypothesis import strategies as st
 
 from repro.core.expansion import SIGMA, multiple_expansion
 from repro.core.merging import flow_based_merge_condition
-from repro.flow import (
-    VertexSplitNetwork,
-    is_k_vertex_connected,
-    is_side_vertex,
-    local_connectivity,
-)
+from repro.errors import ParameterError
+from repro.flow import VertexSplitNetwork, is_k_vertex_connected
 from repro.graph import Graph, clique_graph, community_graph, random_gnm
+
+
+def local_connectivity(graph: Graph, u, v) -> float:
+    """κ(u, v, G): minimum vertices to remove to disconnect u from v.
+
+    Returns ``math.inf`` for adjacent pairs (Definition 4: no vertex
+    removal can separate an edge's endpoints).
+    """
+    if u == v:
+        raise ParameterError("local connectivity needs two distinct vertices")
+    if graph.has_edge(u, v):
+        return math.inf
+    return VertexSplitNetwork(graph).max_flow(u, v)
+
+
+def is_side_vertex(graph: Graph, vertex, k: int) -> bool:
+    """Whether ``vertex`` is a *side-vertex*: in no vertex cut of size < k.
+
+    Side-vertices (Wen et al.) make local k-connectivity transitive
+    (Lemma 1), which is what the virtual-vertex proofs of Theorems 1
+    and 3 lean on. The check: ``vertex`` belongs to some cut of size
+    < k iff there is a non-adjacent pair (a, b) avoiding it with
+    κ(a, b) < k whose connectivity drops when ``vertex`` is removed
+    (then ``vertex`` sits in one of their minimum cuts). O(n²) flows.
+    """
+    if k < 1:
+        raise ParameterError(f"k must be >= 1, got {k}")
+    if not graph.has_vertex(vertex):
+        raise ParameterError(f"vertex {vertex!r} not in graph")
+    others = [u for u in graph.vertices() if u != vertex]
+    full = VertexSplitNetwork(graph)
+    reduced = VertexSplitNetwork(graph.subgraph(set(others)))
+    for i, a in enumerate(others):
+        for b in others[i + 1:]:
+            if graph.has_edge(a, b):
+                continue
+            kappa = full.max_flow(a, b, cutoff=k)
+            if kappa >= k:
+                continue
+            if reduced.max_flow(a, b, cutoff=kappa) < kappa:
+                return False
+    return True
 
 
 def connected_pairs_at_least(graph, k):
