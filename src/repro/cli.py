@@ -12,7 +12,7 @@ Subcommands:
 * ``index build`` / ``index inspect`` — materialise the k-VCC
   hierarchy into a persistent query index / describe a saved one;
 * ``serve`` — answer QkVCS queries over line-delimited JSON (stdio or
-  TCP) from an index, with live fallback (see ``docs/serving.md``);
+  TCP) from a k-VCC index (see ``docs/serving.md``);
 * ``loadtest`` — spawn a serve daemon and measure it under open-loop
   concurrent traffic, writing ``run_table.csv`` + raw-sample JSONL
   capacity artifacts (see ``docs/loadtest.md``).
@@ -45,7 +45,7 @@ from repro.bench import reporting
 from repro.core.ripple import ripple, ripple_me
 from repro.core.vcce_bu import vcce_bu
 from repro.core.vcce_td import vcce_td
-from repro.errors import IndexCorruptionError, ReproError
+from repro.errors import IndexCorruptionError, ParameterError, ReproError
 from repro.graph.io import load_snap_graph, read_edge_list
 from repro.obs.spans import render_span_tree, span_totals, to_chrome_trace
 from repro.resilience.deadline import Deadline
@@ -258,13 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "-o", "--output", required=True, help="index file to write"
     )
-    build.add_argument(
-        "--max-k",
-        type=int,
-        default=None,
-        help="cap the indexed ceiling (default: index to exhaustion; "
-        "queries above a capped ceiling fall back to live enumeration)",
-    )
     inspect = index_sub.add_parser(
         "inspect", help="describe a saved index file"
     )
@@ -277,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--graph",
-        help="edge-list file to serve (enables live fallback and "
-        "build-on-first-use when the index is missing or stale)",
+        help="edge-list file to serve (enables build-on-first-use when "
+        "the index is missing, and a rebuild when it is stale)",
     )
     serve.add_argument(
         "--index",
@@ -317,14 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU result-cache capacity, 0 disables (default 1024)",
     )
     serve.add_argument(
-        "--max-k",
-        type=int,
-        default=None,
-        help="cap for an index built on first use (default: exhaustive)",
-    )
-    serve.add_argument(
         "--metrics-port",
-        type=int,
+        type=_port,
         metavar="PORT",
         help="serve Prometheus text exposition on "
         "http://127.0.0.1:PORT/metrics (0 picks a free port; see "
@@ -446,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         "request_id)",
     )
     loadtest.add_argument(
-        "--daemon-metrics-port", type=int, metavar="PORT",
+        "--daemon-metrics-port", type=_port, metavar="PORT",
         help="expose the daemon's /metrics endpoint during the run "
         "(0 picks a free port, printed to stderr)",
     )
@@ -457,6 +444,29 @@ def build_parser() -> argparse.ArgumentParser:
         "written, and the exit code is 3",
     )
     return parser
+
+
+def _port(text: str) -> int:
+    """A TCP port, 0-65535 (0 picks a free one): the ``--*metrics-port``
+    argparse type and the PORT of every ``HOST:PORT``."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got {text!r}")
+    return port
+
+
+def _address(text: str) -> tuple[str, int]:
+    """A ``HOST:PORT`` argument (HOST defaults to 127.0.0.1)."""
+    host, _, port_text = text.rpartition(":")
+    try:
+        return host or "127.0.0.1", _port(port_text)
+    except argparse.ArgumentTypeError:
+        raise ParameterError(
+            f"expected HOST:PORT with PORT in 0-65535, got {text!r}"
+        ) from None
 
 
 def _add_stats_flags(parser: argparse.ArgumentParser) -> None:
@@ -621,12 +631,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
 
     if args.index_command == "build":
         graph = read_edge_list(args.path, allow_self_loops=True)
-        index = KvccIndex.build(graph, max_k=args.max_k)
+        index = KvccIndex.build(graph)
         index.save(args.output)
         print(
             f"index saved to {args.output}: {index.num_vertices} vertices, "
-            f"{index.num_edges} edges, ceiling k={index.ceiling} "
-            f"({'complete' if index.complete else f'capped at {index.max_k}'})"
+            f"{index.num_edges} edges, ceiling k={index.ceiling}"
         )
         return 0
     index = KvccIndex.load(args.path)
@@ -636,8 +645,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
     )
     print(
         f"graph: {index.num_vertices} vertices, {index.num_edges} edges; "
-        f"ceiling k={index.ceiling} "
-        f"({'complete' if index.complete else f'capped at {index.max_k}'})"
+        f"ceiling k={index.ceiling}"
     )
     depth = index.membership_levels()
     rows = [
@@ -670,6 +678,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         serve_tcp,
     )
 
+    address = _address(args.tcp) if args.tcp else None
     graph = (
         read_edge_list(args.graph, allow_self_loops=True)
         if args.graph
@@ -705,9 +714,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if graph is None and index is None:
         print("error: serve needs --graph, --index, or both", file=sys.stderr)
         return EXIT_ERROR
-    engine = QueryEngine(
-        graph, index, cache_size=args.cache_size, max_k=args.max_k
-    )
+    engine = QueryEngine(graph, index, cache_size=args.cache_size)
     settings = ServeSettings(
         request_timeout=args.request_timeout,
         workers=args.workers,
@@ -731,25 +738,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else contextlib.nullcontext()
     )
     with scope:
-        if args.tcp:
+        if address is not None:
             import threading
 
-            host, _, port_text = args.tcp.rpartition(":")
-            try:
-                port = int(port_text)
-            except ValueError:
-                print(
-                    f"error: --tcp expects HOST:PORT, got {args.tcp!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_ERROR
-            handle = serve_tcp(
-                engine,
-                settings,
-                host=host or "127.0.0.1",
-                port=port,
-                background=True,
-            )
+            handle = serve_tcp(engine, settings, host=address[0], port=address[1])
             bound_host, bound_port = handle.address
             metrics = None
             if args.metrics_port is not None:
@@ -809,20 +801,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.serving.top import run_top
 
-    host, _, port_text = args.address.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        print(
-            f"error: expected HOST:PORT, got {args.address!r}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
-    return run_top(
-        (host or "127.0.0.1", port),
-        interval=args.interval,
-        count=args.count,
-    )
+    return run_top(_address(args.address), interval=args.interval, count=args.count)
 
 
 def _cmd_loadtest(args: argparse.Namespace, runinfo: dict) -> int:

@@ -25,29 +25,24 @@ from collections.abc import Hashable
 
 from repro import obs
 from repro.core.vcce_td import vcce_td
-from repro.errors import ParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.traversal import connected_components
 
 __all__ = ["kvcc_hierarchy", "max_kvcc_level", "membership_levels"]
 
 
-def kvcc_hierarchy(
-    graph: Graph, max_k: int | None = None
-) -> dict[int, list[frozenset]]:
-    """Exact k-VCC decomposition for every k from 1 up to ``max_k``.
+def kvcc_hierarchy(graph: Graph) -> dict[int, list[frozenset]]:
+    """Exact k-VCC decomposition for every non-empty level k.
 
     Level 1 is the connected components (with > 1 vertex); each later
     level is computed inside the previous level's components. Stops at
-    the first empty level when ``max_k`` is None.
+    the first empty level.
 
     >>> from repro.graph import clique_graph
     >>> levels = kvcc_hierarchy(clique_graph(4))
     >>> sorted(levels)
     [1, 2, 3]
     """
-    if max_k is not None and max_k < 1:
-        raise ParameterError(f"max_k must be >= 1, got {max_k}")
     levels: dict[int, list[frozenset]] = {}
     # Each component of the current level with its (min(κ, upper), cut)
     # from vcce_td. Level 1's components are connected (κ ≥ 1) and
@@ -59,8 +54,6 @@ def kvcc_hierarchy(
     while current:
         levels[k] = sorted(current, key=lambda c: (-len(c), sorted(map(repr, c))))
         k += 1
-        if max_k is not None and k > max_k:
-            break
         found: dict[frozenset, tuple[int, set | None]] = {}
         for parent, (bound, witness) in current.items():
             if bound >= k:
@@ -72,8 +65,7 @@ def kvcc_hierarchy(
                 rest = graph.subgraph(parent - witness)
                 pieces = [part | witness for part in connected_components(rest)]
             for piece in pieces:
-                upper = len(piece) if max_k is None else max_k
-                result = vcce_td(graph.subgraph(piece), k, upper=upper)
+                result = vcce_td(graph.subgraph(piece), k, upper=len(piece))
                 found.update(result.connectivity)
         current = found
     return levels

@@ -9,13 +9,14 @@ bottom-up machinery makes this a three-liner:
 2. expand it with unrestricted Multiple Expansion — by Theorem 2 the
    result is the unique maximal k-connected superset of the seed,
    i.e. a genuine k-VCC;
-3. if no local seed exists, optionally fall back to the exact
-   enumerator restricted to the vertex's k-core component.
+3. if no local seed exists, fall back to the exact enumerator
+   restricted to the vertex's k-core component.
 
 Because distinct k-VCCs may overlap in up to k-1 vertices, "the" k-VCC
 of a vertex is not always unique; this returns the one grown from the
 locally found seed (or the first exact component containing the vertex
-under the fallback).
+under the fallback). For every k-VCC of a vertex, ask the k-VCC index
+(:class:`repro.serving.KvccIndex`).
 """
 
 from __future__ import annotations
@@ -38,16 +39,14 @@ def kvcc_containing(
     vertex: Hashable,
     k: int,
     alpha: int = DEFAULT_ALPHA,
-    exact_fallback: bool = True,
 ) -> frozenset | None:
     """A k-VCC containing ``vertex``, or None if it belongs to none.
 
     Cost is local when a seed exists near the vertex (one LkVCS call
-    plus the expansion flows). ``exact_fallback`` controls what happens
-    when the 2-hop ball holds no seed: with it, the exact enumerator
-    runs on the vertex's k-core component (still much smaller than the
-    graph in the common case); without it, None is returned — which
-    then means "no *locally visible* k-VCC", not a proof of absence.
+    plus the expansion flows). When the 2-hop ball holds no seed, the
+    exact enumerator runs on the vertex's k-core component (still much
+    smaller than the graph in the common case), so None is a proof of
+    absence.
     """
     if k < 2:
         raise ParameterError(f"k must be >= 2, got {k}")
@@ -63,8 +62,6 @@ def kvcc_containing(
     if seed is not None:
         grown = multiple_expansion(scope, k, seed, hops=None)
         return frozenset(grown)
-    if not exact_fallback:
-        return None
     for component in vcce_td(scope, k).components:
         if vertex in component:
             return component

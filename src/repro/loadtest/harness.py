@@ -73,7 +73,6 @@ class DaemonProcess:
         workers: int = 4,
         request_timeout: float | None = None,
         cache_size: int = 1024,
-        max_k: int | None = None,
         max_queue: int | None = None,
         access_log: str | os.PathLike | None = None,
         metrics_port: int | None = None,
@@ -86,7 +85,6 @@ class DaemonProcess:
         self.workers = workers
         self.request_timeout = request_timeout
         self.cache_size = cache_size
-        self.max_k = max_k
         self.max_queue = max_queue
         self.access_log = (
             os.fspath(access_log) if access_log is not None else None
@@ -134,8 +132,6 @@ class DaemonProcess:
             command += ["--index", self.index_path]
         if self.request_timeout is not None:
             command += ["--request-timeout", str(self.request_timeout)]
-        if self.max_k is not None:
-            command += ["--max-k", str(self.max_k)]
         if self.max_queue is not None:
             command += ["--max-queue", str(self.max_queue)]
         if self.access_log is not None:
@@ -357,7 +353,6 @@ def run_scenario(
                     index_path=index_path,
                     workers=daemon_workers,
                     request_timeout=request_timeout,
-                    max_k=scenario.max_k,
                     max_queue=daemon_max_queue,
                     access_log=daemon_access_log,
                     metrics_port=daemon_metrics_port,

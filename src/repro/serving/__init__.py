@@ -6,9 +6,7 @@ three layers (see ``docs/serving.md`` and ``docs/architecture.md``):
 * :mod:`repro.serving.index` — :class:`KvccIndex`: the all-k hierarchy
   materialised into a versioned, fingerprinted, O(1)-lookup file;
 * :mod:`repro.serving.engine` — :class:`QueryEngine`: single/batched
-  QkVCS answers from the index, LRU-cached, with live
-  :func:`~repro.core.query.kvcc_containing` fallback above the indexed
-  ceiling;
+  QkVCS answers from the index, LRU-cached;
 * :mod:`repro.serving.daemon` + :mod:`repro.serving.protocol` — the
   ``ripple serve`` daemon speaking line-delimited JSON over stdio or
   TCP, with per-request :class:`~repro.resilience.Deadline` budgets;

@@ -26,7 +26,7 @@ Record fields (absent keys simply did not apply to that request):
     Admission queue wait, engine service time (admission slot hold),
     and end-to-end handle time for this request.
 ``tier``
-    Where a query resolved (``cache`` / ``index`` / ``live``); for a
+    Where a query resolved (``cache`` / ``index``); for a
     batch, a tier → count summary.
 ``shed``
     The shed reason when admission refused the request.

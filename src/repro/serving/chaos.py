@@ -18,7 +18,7 @@ sequence number of operations hitting that stage):
     error, ``hang`` stalls the response by ``hang_seconds``,
     ``garbage`` emits an undecodable response line.
 ``engine.resolve``
-    A query about to resolve (cache → index → live; drawn before the
+    A query about to resolve (cache → index; drawn before the
     cache so every query is injectable, which keeps hang-calibrated
     service times independent of cache hit rates).
     ``hang`` stalls it; ``crash``/``raise``/``garbage`` raise

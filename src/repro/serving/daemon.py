@@ -327,28 +327,19 @@ def serve_tcp(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    background: bool = False,
-) -> TcpServerHandle | None:
-    """Serve the protocol over TCP.
+) -> TcpServerHandle:
+    """Serve the protocol over TCP from a background acceptor thread.
 
-    ``background=True`` returns a :class:`TcpServerHandle` immediately
-    (tests, embedding); otherwise this blocks until interrupted and
-    returns None. ``port=0`` binds an ephemeral port (read it off the
-    handle's :attr:`~TcpServerHandle.address`).
+    Returns a :class:`TcpServerHandle` at once; stop the server with
+    :meth:`TcpServerHandle.stop` (or a ``with`` block). ``port=0``
+    binds an ephemeral port (read it off the handle's
+    :attr:`~TcpServerHandle.address`).
     """
     server = _TcpServer((host, port), engine, settings)
-    if background:
-        thread = threading.Thread(
-            target=server.serve_forever,
-            name="ripple-serve-acceptor",
-            daemon=True,
-        )
-        thread.start()
-        return TcpServerHandle(server, thread)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        if server.context.access_log is not None:
-            server.context.access_log.close()
-    return None
+    thread = threading.Thread(
+        target=server.serve_forever,
+        name="ripple-serve-acceptor",
+        daemon=True,
+    )
+    thread.start()
+    return TcpServerHandle(server, thread)

@@ -8,9 +8,6 @@ question (the paper's QkVCS building block, exposed live as
   O(lookup) — built once, reused by every query;
 * a bounded LRU cache short-circuits repeated (vertex, k) pairs, the
   dominant shape of real query traffic;
-* k above an incomplete index's ceiling falls back to the live
-  enumerator, so capped indexes degrade to correct-but-slower instead
-  of wrong;
 * a missing index degrades gracefully: the first query builds it from
   the graph (build-on-first-use), later queries ride the result.
 
@@ -28,13 +25,11 @@ from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 
 from repro import obs
-from repro.core.query import kvcc_containing
 from repro.errors import ParameterError, ReproError
 from repro.graph.adjacency import Graph
-from repro.graph.traversal import component_of
 from repro.resilience import Deadline
 from repro.serving import chaos
-from repro.serving.index import KvccIndex, ordered_members
+from repro.serving.index import KvccIndex
 
 __all__ = [
     "BatchDeadlineExpired",
@@ -68,13 +63,11 @@ class QueryResult:
     ``components`` holds *every* k-VCC of level ``k`` containing the
     vertex — distinct k-VCCs may overlap in up to k-1 vertices, so
     overlap vertices get several. ``source`` says where the answer came
-    from: ``"cache"``, ``"index"``, or ``"live"`` (above-ceiling
-    fallback; live answers mirror :func:`kvcc_containing` and carry at
-    most one component). ``members`` lists the same components, in
-    the same order, each as a tuple of its vertices in canonical label
-    order (:func:`repro.serving.index.ordered_members`): the index
-    sorts them once per generation and a live answer once when it is
-    resolved, so the wire protocol sends them as they are.
+    from: ``"cache"`` or ``"index"``. ``members`` lists the same
+    components, in the same order, each as a tuple of its vertices in
+    canonical label order (:func:`repro.serving.index.ordered_members`):
+    the index sorts them once per generation, so the wire protocol
+    sends them as they are.
     """
 
     vertex: Hashable
@@ -141,13 +134,10 @@ class QueryEngine:
 
     Construct with a graph, an index, or both:
 
-    * graph only — the index is built on first use (and ``max_k`` caps
-      how deep);
-    * index only — pure lookups; above-ceiling queries on an incomplete
-      index raise (there is no graph to fall back to);
+    * graph only — the index is built on first use;
+    * index only — pure lookups;
     * both — the index is checked against the graph's fingerprint and
-      rebuilt when stale, and above-ceiling queries fall back to live
-      :func:`kvcc_containing` enumeration.
+      rebuilt when stale.
     """
 
     def __init__(
@@ -156,13 +146,11 @@ class QueryEngine:
         index: KvccIndex | None = None,
         *,
         cache_size: int = 1024,
-        max_k: int | None = None,
     ) -> None:
         if graph is None and index is None:
             raise ParameterError("QueryEngine needs a graph, an index, or both")
         self._graph = graph
         self._index = index
-        self._max_k = max_k
         self._cache = LRUCache(cache_size)
         self._lock = threading.Lock()
         # (num_vertices, num_edges) of the graph the current index was
@@ -218,14 +206,12 @@ class QueryEngine:
                 if self._validated != probe:
                     if self._index.is_stale(self._graph):
                         obs.count("serving.index.stale_rebuilds")
-                        self._index = KvccIndex.build(
-                            self._graph, max_k=self._max_k
-                        )
+                        self._index = KvccIndex.build(self._graph)
                         self._version += 1
                         self._cache.clear()
                     self._validated = probe
             if self._index is None:
-                self._index = KvccIndex.build(self._graph, max_k=self._max_k)
+                self._index = KvccIndex.build(self._graph)
                 self._version += 1
                 self._validated = (
                     self._graph.num_vertices,
@@ -255,13 +241,12 @@ class QueryEngine:
         """
         with self._lock:
             current = self._index
-            max_k = self._max_k
         replacement = current
         if current is None or current.is_stale(graph):
             if current is not None:
                 obs.count("serving.index.stale_rebuilds")
             # The expensive part, deliberately outside the lock.
-            replacement = KvccIndex.build(graph, max_k=max_k)
+            replacement = KvccIndex.build(graph)
         chaos.fire("reload.swap")
         with self._lock:
             obs.count("serving.engine.reloads")
@@ -283,13 +268,13 @@ class QueryEngine:
     ) -> QueryResult:
         """Answer one QkVCS query.
 
-        Resolution order: cache → index → live fallback (above an
-        incomplete index's ceiling, needs the graph). The deadline is
-        checked once before any live work; expiry raises
-        :class:`BatchDeadlineExpired` with no completed answers.
+        Resolution order: cache → index. The deadline is checked once on
+        a cache miss, before the index lookup (which may first build the
+        index); expiry raises :class:`BatchDeadlineExpired` with no
+        completed answers.
 
         Each successful resolution records its wall time into the
-        ``serving.resolve_seconds.{cache,index,live}`` histogram of the
+        ``serving.resolve_seconds.{cache,index}`` histogram of the
         tier that answered, so an operator can see not just hit *rates*
         but the latency shape of each tier. ``request_id`` (assigned by
         the protocol layer) is attached to the resolution span and to
@@ -326,20 +311,14 @@ class QueryEngine:
                 raise ParameterError(
                     f"vertex {vertex!r} not in the served graph"
                 )
-            if index.covers(k):
-                obs.count("serving.index.hits")
-                components, members = index.lookup(vertex, k)
-                source = "index"
-            else:
-                components = self._live_fallback(vertex, k)
-                members = tuple(map(ordered_members, components))
-                source = "live"
+            obs.count("serving.index.hits")
+            components, members = index.lookup(vertex, k)
         self._cache.put((vertex, k), (version, components, members))
         obs.observe(
-            f"serving.resolve_seconds.{source}",
+            "serving.resolve_seconds.index",
             time.perf_counter() - resolve_started,
         )
-        return QueryResult(vertex, k, components, source, members)
+        return QueryResult(vertex, k, components, "index", members)
 
     def query_batch(
         self,
@@ -368,23 +347,6 @@ class QueryEngine:
                 results.append(self.query(vertex, k, request_id=request_id))
         return results
 
-    def _live_fallback(self, vertex: Hashable, k: int) -> tuple[frozenset, ...]:
-        """Exact live answer for k above an incomplete index's ceiling."""
-        if self._graph is None:
-            raise ParameterError(
-                f"k={k} is above the indexed ceiling and the engine "
-                f"has no graph for a live fallback"
-            )
-        obs.count("serving.live.fallbacks")
-        with obs.start_span("serving.live_fallback", k=k):
-            if k == 1:
-                component = component_of(self._graph, vertex)
-                if len(component) > 1:
-                    return (frozenset(component),)
-                return ()
-            component = kvcc_containing(self._graph, vertex, k)
-            return () if component is None else (component,)
-
     # -- introspection -------------------------------------------------
 
     def stats(self) -> dict:
@@ -400,7 +362,6 @@ class QueryEngine:
             if index is None
             else {
                 "ceiling": index.ceiling,
-                "complete": index.complete,
                 "num_vertices": index.num_vertices,
                 "num_edges": index.num_edges,
                 "fingerprint": index.fingerprint,

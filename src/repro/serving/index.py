@@ -11,12 +11,9 @@ decomposition into an O(1)-lookup structure:
   vertices that belong to several k-VCCs of the same level;
 * a **fingerprint** of the graph it was built from, so a stale index
   is detected instead of silently serving wrong answers;
-* a **ceiling**: the largest indexed k. An index built without a
-  ``max_k`` cap is *complete* — above the ceiling there are provably
-  no components, so any k is answerable. A capped index answers
-  ``k <= max_k`` and reports everything above as uncovered, which the
-  query engine resolves with a live :func:`repro.core.query.kvcc_containing`
-  call.
+* a **ceiling**: the largest indexed k. Every index is built to
+  exhaustion, so above the ceiling there are provably no components
+  and any k is answerable from the index alone.
 
 Serialisation is a canonical, versioned JSON document
 (``repro.kvcc-index/1``): key order, member order, and separators are
@@ -29,8 +26,8 @@ payload, :meth:`KvccIndex.save` is atomic (temp file + fsync +
 and :meth:`KvccIndex.load` *quarantines* torn or corrupt files by
 renaming them to ``<path>.corrupt`` and raising
 :class:`~repro.errors.IndexCorruptionError` — a daemon restarting onto
-bad state degrades to a live rebuild instead of crash-looping on the
-same unreadable file.
+bad state degrades to a rebuild from the graph instead of crash-looping
+on the same unreadable file.
 """
 
 from __future__ import annotations
@@ -107,13 +104,12 @@ class KvccIndex:
 
     Build one with :meth:`build`, persist it with :meth:`save`, and
     reload it with :meth:`load`; answer queries with :meth:`containing`
-    (all k-VCCs of a vertex at level k) after checking :meth:`covers`.
+    (all k-VCCs of a vertex at level k).
     """
 
     __slots__ = (
         "_fingerprint",
         "_levels",
-        "_max_k",
         "_members",
         "_membership",
         "_num_edges",
@@ -127,7 +123,6 @@ class KvccIndex:
         levels: dict[int, list[frozenset]],
         vertices: frozenset,
         *,
-        max_k: int | None,
         num_vertices: int,
         num_edges: int,
     ) -> None:
@@ -142,7 +137,6 @@ class KvccIndex:
             for k, components in self._levels.items()
         }
         self._vertices = vertices
-        self._max_k = max_k
         self._num_vertices = num_vertices
         self._num_edges = num_edges
         # vertex -> {k: (component positions, ascending)}: the O(1)
@@ -158,24 +152,16 @@ class KvccIndex:
     # -- construction --------------------------------------------------
 
     @classmethod
-    def build(cls, graph: Graph, max_k: int | None = None) -> "KvccIndex":
-        """Materialise the hierarchy of ``graph`` into an index.
-
-        ``max_k`` caps the indexed ceiling (queries above it fall back
-        to live enumeration in the query engine); ``None`` indexes to
-        natural exhaustion, making the index *complete*.
-        """
-        if max_k is not None and max_k < 1:
-            raise ParameterError(f"max_k must be >= 1, got {max_k}")
+    def build(cls, graph: Graph) -> "KvccIndex":
+        """Materialise the whole hierarchy of ``graph`` into an index."""
         for vertex in graph.vertices():
             _check_label(vertex)
-        with obs.start_span("serving.index.build", max_k=max_k):
-            levels = kvcc_hierarchy(graph, max_k=max_k)
+        with obs.start_span("serving.index.build"):
+            levels = kvcc_hierarchy(graph)
             index = cls(
                 graph_fingerprint(graph),
                 levels,
                 frozenset(graph.vertices()),
-                max_k=max_k,
                 num_vertices=graph.num_vertices,
                 num_edges=graph.num_edges,
             )
@@ -194,24 +180,9 @@ class KvccIndex:
         return self._fingerprint
 
     @property
-    def max_k(self) -> int | None:
-        """The build-time cap (``None`` = built to exhaustion)."""
-        return self._max_k
-
-    @property
     def ceiling(self) -> int:
         """The largest k with indexed components (0 for empty graphs)."""
         return max(self._levels, default=0)
-
-    @property
-    def complete(self) -> bool:
-        """Whether every k is answerable from the index alone.
-
-        True when the hierarchy was built to natural exhaustion: above
-        the ceiling there are provably no k-VCCs, so the exact answer
-        for any higher k is "none".
-        """
-        return self._max_k is None or self.ceiling < self._max_k
 
     @property
     def levels(self) -> dict[int, tuple[frozenset, ...]]:
@@ -239,23 +210,18 @@ class KvccIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"KvccIndex(n={self._num_vertices}, m={self._num_edges}, "
-            f"ceiling={self.ceiling}, complete={self.complete})"
+            f"ceiling={self.ceiling})"
         )
 
     # -- queries -------------------------------------------------------
-
-    def covers(self, k: int) -> bool:
-        """Whether level ``k`` is answerable from the index alone."""
-        if k < 1:
-            raise ParameterError(f"k must be >= 1, got {k}")
-        return k <= self.ceiling or self.complete
 
     def containing(self, vertex: Hashable, k: int) -> tuple[frozenset, ...]:
         """All k-VCCs at level ``k`` containing ``vertex`` (maybe several:
         distinct k-VCCs overlap in up to k-1 vertices).
 
-        Raises :class:`ParameterError` for vertices outside the indexed
-        graph and for k above an incomplete index's ceiling.
+        Above the ceiling the answer is empty: the index holds every
+        level. Raises :class:`ParameterError` for vertices outside the
+        indexed graph and for k < 1.
         """
         return self.lookup(vertex, k)[0]
 
@@ -265,11 +231,8 @@ class KvccIndex:
         """:meth:`containing` together with each component's members in
         canonical label order (:func:`ordered_members`), from one lookup.
         """
-        if not self.covers(k):
-            raise ParameterError(
-                f"k={k} is above the indexed ceiling "
-                f"({self.ceiling}, capped at max_k={self._max_k})"
-            )
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         if vertex not in self._vertices:
             raise ParameterError(f"vertex {vertex!r} not in indexed graph")
         positions = self._membership.get(vertex, {}).get(k, ())
@@ -301,9 +264,12 @@ class KvccIndex:
         return {
             "schema": INDEX_SCHEMA,
             "fingerprint": self._fingerprint,
-            "max_k": self._max_k,
+            # Constants: every index is built to exhaustion, so it is
+            # never capped and always complete. The two keys stay so
+            # that every saved index keeps loading and keeps its bytes.
+            "max_k": None,
             "ceiling": self.ceiling,
-            "complete": self.complete,
+            "complete": True,
             "num_vertices": self._num_vertices,
             "num_edges": self._num_edges,
             "vertices": sorted(self._vertices, key=_label_key),
@@ -333,7 +299,9 @@ class KvccIndex:
         """Rebuild an index from :meth:`to_json` output.
 
         Raises :class:`repro.errors.ParseError` on malformed documents,
-        unknown schemas, and membership/count inconsistencies.
+        unknown schemas, membership/count inconsistencies, and capped
+        documents (``max_k`` other than null, or ``complete`` other
+        than true), which lack the levels above their cap.
         """
         try:
             payload = json.loads(document)
@@ -364,6 +332,12 @@ class KvccIndex:
                         f"{payload['checksum']!r}, payload hashes to "
                         f"{expected!r}"
                     )
+            if payload["max_k"] is not None or payload["complete"] is not True:
+                raise ValueError(
+                    f"capped index (max_k={payload['max_k']!r}, "
+                    f"complete={payload['complete']!r}); rebuild it "
+                    f"with `ripple index build`"
+                )
             vertices = frozenset(
                 _check_label(v) for v in payload["vertices"]
             )
@@ -375,10 +349,6 @@ class KvccIndex:
                 str(payload["fingerprint"]),
                 levels,
                 vertices,
-                max_k=(
-                    None if payload["max_k"] is None
-                    else int(payload["max_k"])
-                ),
                 num_vertices=int(payload["num_vertices"]),
                 num_edges=int(payload["num_edges"]),
             )

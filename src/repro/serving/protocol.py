@@ -222,7 +222,7 @@ def handle_request(
     """Answer one decoded request; returns ``(response, keep_serving)``.
 
     ``keep_serving`` is False only for ``shutdown``. The deadline
-    bounds this request's live work (checked cooperatively at query
+    bounds this request's work (checked cooperatively at query
     boundaries); expiry yields a ``deadline`` error response carrying
     the completed prefix of a batch. ``reloader`` is a zero-argument
     callable returning a fresh :class:`~repro.graph.adjacency.Graph`

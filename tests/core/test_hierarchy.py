@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import kvcc_hierarchy, max_kvcc_level, membership_levels, vcce_td
 from repro.datasets import DATASETS
-from repro.errors import ParameterError
 from repro.graph import (
     Graph,
     clique_graph,
@@ -19,12 +18,12 @@ from repro.graph import (
 )
 
 
-def reference_hierarchy(graph, max_k=None):
+def reference_hierarchy(graph):
     """Level by level: a fresh VCCE-TD run inside every parent."""
     levels = {}
     current = {frozenset(c) for c in connected_components(graph) if len(c) > 1}
     k = 1
-    while current and (max_k is None or k <= max_k):
+    while current:
         levels[k] = current
         k += 1
         current = {
@@ -71,17 +70,9 @@ class TestHierarchy:
             for child in levels[k]:
                 assert any(child <= parent for parent in levels[k - 1])
 
-    def test_max_k_cap(self):
-        levels = kvcc_hierarchy(clique_graph(6), max_k=2)
-        assert sorted(levels) == [1, 2]
-
     def test_empty_and_edgeless(self):
         assert kvcc_hierarchy(Graph()) == {}
         assert kvcc_hierarchy(Graph.from_edges([], vertices=[1, 2])) == {}
-
-    def test_invalid_max_k(self):
-        with pytest.raises(ParameterError):
-            kvcc_hierarchy(Graph(), max_k=0)
 
     def test_figure1_k5_is_carried_from_level_3_to_4(self, paper_figure1_graph):
         with obs.collecting() as collector:
@@ -93,29 +84,32 @@ class TestHierarchy:
 
 class TestMatchesLevelByLevelReference:
     @pytest.mark.parametrize("name", sorted(DATASETS))
-    @pytest.mark.parametrize("max_k", [None, 2, 3])
-    def test_registry_dataset(self, name, max_k):
+    @pytest.mark.parametrize("level", [None, 2, 3])
+    def test_registry_dataset(self, name, level):
+        """``None``: every level against the level-by-level reference.
+        A number: that level against VCCE-TD on the whole graph, an
+        oracle that does not recurse into the level below."""
         graph = DATASETS[name].graph()
-        assert as_sets(kvcc_hierarchy(graph, max_k=max_k)) == reference_hierarchy(
-            graph, max_k
-        )
+        levels = kvcc_hierarchy(graph)
+        if level is None:
+            assert as_sets(levels) == reference_hierarchy(graph)
+        else:
+            expected = set(vcce_td(graph, level).components)
+            assert set(levels.get(level, [])) == expected
 
     @given(
         n=st.integers(min_value=1, max_value=25),
         p=st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.7, 0.9]),
         seed=st.integers(min_value=0, max_value=10_000),
-        max_k=st.sampled_from([None, 1, 2, 4]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_gnp(self, n, p, seed, max_k):
+    def test_random_gnp(self, n, p, seed):
         rng = random.Random(seed)
         graph = Graph.from_edges(
             ((u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p),
             vertices=range(n),
         )
-        assert as_sets(kvcc_hierarchy(graph, max_k=max_k)) == reference_hierarchy(
-            graph, max_k
-        )
+        assert as_sets(kvcc_hierarchy(graph)) == reference_hierarchy(graph)
 
 
 class TestDerivedQueries:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import kvcc_containing, vcce_td
+from repro.core.seeding import lkvcs
 from repro.errors import ParameterError
 from repro.flow import is_k_vertex_connected
 from repro.graph import (
@@ -44,10 +45,8 @@ class TestQuery:
     def test_exact_fallback_on_seedless_regions(self):
         # circulant ring: no local seed exists, only the whole ring
         g = community_graph([30], k=4, seed=2, style="circulant")
-        local_only = kvcc_containing(g, 0, 4, exact_fallback=False)
-        assert local_only is None
-        exact = kvcc_containing(g, 0, 4, exact_fallback=True)
-        assert exact == frozenset(range(30))
+        assert lkvcs(g, 4, 0) is None
+        assert kvcc_containing(g, 0, 4) == frozenset(range(30))
 
     def test_validation(self):
         with pytest.raises(ParameterError):

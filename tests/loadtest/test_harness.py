@@ -45,7 +45,7 @@ class TestInProcess:
     def test_run_scenario_produces_a_clean_row(self, graph_file):
         graph = read_edge_list(graph_file, allow_self_loops=True)
         with obs.collecting():
-            with serve_tcp(QueryEngine(graph), background=True) as handle:
+            with serve_tcp(QueryEngine(graph)) as handle:
                 outcome = run_scenario(
                     _quick("mixed"),
                     graph_file,
@@ -74,7 +74,7 @@ class TestInProcess:
         graph = read_edge_list(graph_file, allow_self_loops=True)
         scenario = _quick(repetitions=2, duration_s=0.5, warmup_s=0.1)
         with obs.collecting():
-            with serve_tcp(QueryEngine(graph), background=True) as handle:
+            with serve_tcp(QueryEngine(graph)) as handle:
                 outcome = run_scenario(
                     scenario,
                     graph_file,
@@ -115,7 +115,7 @@ class TestInProcess:
         graph = read_edge_list(graph_file, allow_self_loops=True)
         scenario = _quick(offered_rps=200.0, duration_s=3.2, warmup_s=0.2)
         with obs.collecting():
-            with serve_tcp(QueryEngine(graph), background=True) as handle:
+            with serve_tcp(QueryEngine(graph)) as handle:
                 outcome = run_scenario(
                     scenario,
                     graph_file,
@@ -178,7 +178,7 @@ class TestInProcess:
         graph = read_edge_list(graph_file, allow_self_loops=True)
         scenario = _quick()
         with obs.collecting():
-            with serve_tcp(QueryEngine(graph), background=True) as handle:
+            with serve_tcp(QueryEngine(graph)) as handle:
                 outcome = run_scenario(
                     scenario,
                     graph_file,

@@ -127,7 +127,7 @@ class TestServeHandle:
         engine = QueryEngine(graph, KvccIndex.build(graph))
         _arm("serve.handle:0:crash")
         with obs.collecting() as collector:
-            with serve_tcp(engine, background=True) as handle:
+            with serve_tcp(engine) as handle:
                 with socket.create_connection(
                     handle.address, timeout=10
                 ) as sock:
@@ -199,7 +199,7 @@ class TestOversizedLines:
         engine = QueryEngine(graph, KvccIndex.build(graph))
         settings = ServeSettings(max_line_bytes=128)
         big = '{"op":"query","v":"' + "x" * 1024 + '","k":1}'
-        with serve_tcp(engine, settings, background=True) as handle:
+        with serve_tcp(engine, settings) as handle:
             with socket.create_connection(
                 handle.address, timeout=10
             ) as sock:

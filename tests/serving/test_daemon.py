@@ -96,7 +96,7 @@ class TestTcp:
 
     def test_serves_and_shuts_down(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        with serve_tcp(engine, background=True) as handle:
+        with serve_tcp(engine) as handle:
             answers = self._ask(
                 handle.address,
                 ['{"op":"ping"}', '{"op":"query","v":3,"k":3}'],
@@ -120,7 +120,7 @@ class TestTcp:
             except Exception as exc:  # pragma: no cover - surfaced below
                 failures.append(exc)
 
-        with serve_tcp(engine, settings, background=True) as handle:
+        with serve_tcp(engine, settings) as handle:
             threads = [
                 threading.Thread(target=client, args=(vertex,))
                 for vertex in range(8)
@@ -134,7 +134,7 @@ class TestTcp:
     def test_counters_reach_the_servers_collector(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
         with obs.collecting() as collector:
-            with serve_tcp(engine, background=True) as handle:
+            with serve_tcp(engine) as handle:
                 self._ask(handle.address, ['{"op":"query","v":0,"k":2}'])
         assert collector.counter("serving.requests") == 1
         assert collector.counter("serving.queries") == 1
@@ -171,7 +171,7 @@ class TestTcp:
 
         settings = ServeSettings(workers=1, max_queue=1)
         with obs.collecting() as collector:
-            with serve_tcp(engine, settings, background=True) as handle:
+            with serve_tcp(engine, settings) as handle:
                 threads = [
                     threading.Thread(target=client) for _ in range(6)
                 ]
@@ -194,7 +194,7 @@ class TestTcp:
         release = threading.Event()
         engine = self._held_engine(graph, release)
         settings = ServeSettings(workers=1, max_queue=4)
-        with serve_tcp(engine, settings, background=True) as handle:
+        with serve_tcp(engine, settings) as handle:
             with socket.create_connection(handle.address, timeout=10) as busy:
                 stream = busy.makefile("rw", encoding="utf-8", newline="\n")
                 stream.write('{"op":"query","v":0,"k":2}\n')
@@ -232,9 +232,7 @@ class TestTcp:
                 failures.append(exc)
 
         with obs.collecting() as collector:
-            with serve_tcp(
-                engine, ServeSettings(workers=4), background=True
-            ) as handle:
+            with serve_tcp(engine, ServeSettings(workers=4)) as handle:
                 threads = [
                     threading.Thread(target=client, args=(n,))
                     for n in range(clients)
@@ -253,7 +251,7 @@ class TestTcp:
 
     def test_session_survives_malformed_line(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        with serve_tcp(engine, background=True) as handle:
+        with serve_tcp(engine) as handle:
             answers = self._ask(
                 handle.address, ["{nope", '{"op":"ping"}']
             )
@@ -264,7 +262,7 @@ class TestTcp:
 class TestStopAndDrain:
     def test_handle_exposes_the_ephemeral_port(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        handle = serve_tcp(engine, background=True)
+        handle = serve_tcp(engine)
         try:
             assert handle.port == handle.address[1] > 0
         finally:
@@ -272,7 +270,7 @@ class TestStopAndDrain:
 
     def test_stop_unblocks_idle_sessions_and_leaves_no_threads(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        handle = serve_tcp(engine, background=True)
+        handle = serve_tcp(engine)
         # Two sessions: one idle (parked in readline), one that has
         # already completed a request and is waiting for the next line.
         idle = socket.create_connection(handle.address, timeout=10)
@@ -297,7 +295,7 @@ class TestStopAndDrain:
 
     def test_stop_answers_a_connection_left_in_the_backlog(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        handle = serve_tcp(engine, background=True)
+        handle = serve_tcp(engine)
         # Park the acceptor first: the connection below completes in the
         # kernel but is never accepted before stop() runs.
         handle._server.shutdown()
@@ -312,7 +310,7 @@ class TestStopAndDrain:
 
     def test_stop_drains_the_in_flight_request(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        handle = serve_tcp(engine, background=True)
+        handle = serve_tcp(engine)
         sock = socket.create_connection(handle.address, timeout=10)
         stream = sock.makefile("rw", encoding="utf-8", newline="\n")
         stream.write('{"op":"query","v":0,"k":3}\n')
@@ -334,7 +332,7 @@ class TestReloadAndStats:
     def test_stats_response_carries_serving_counters(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
         with obs.collecting():
-            with serve_tcp(engine, background=True) as handle:
+            with serve_tcp(engine) as handle:
                 answers = self._ask(
                     handle.address,
                     ['{"op":"query","v":0,"k":2}', '{"op":"stats"}'],
@@ -346,7 +344,7 @@ class TestReloadAndStats:
 
     def test_reload_without_a_reloader_is_unsupported(self, graph):
         engine = QueryEngine(graph, KvccIndex.build(graph))
-        with serve_tcp(engine, background=True) as handle:
+        with serve_tcp(engine) as handle:
             answers = self._ask(handle.address, ['{"op":"reload"}'])
         assert answers[0]["code"] == "unsupported-op"
 
@@ -360,7 +358,7 @@ class TestReloadAndStats:
             reloader=lambda: read_edge_list(path, allow_self_loops=True)
         )
         with obs.collecting() as collector:
-            with serve_tcp(engine, settings, background=True) as handle:
+            with serve_tcp(engine, settings) as handle:
                 before = self._ask(handle.address, ['{"op":"reload"}'])[0]
                 with open(path, "a", encoding="utf-8") as fh:
                     fh.write("10000001 0\n")
@@ -376,7 +374,7 @@ class TestReloadAndStats:
 
         engine = QueryEngine(graph, KvccIndex.build(graph))
         settings = ServeSettings(reloader=explode)
-        with serve_tcp(engine, settings, background=True) as handle:
+        with serve_tcp(engine, settings) as handle:
             answers = self._ask(
                 handle.address, ['{"op":"reload"}', '{"op":"ping"}']
             )
@@ -395,7 +393,7 @@ class TestReloadAndStats:
         settings = ServeSettings(
             reloader=lambda: read_edge_list(path, allow_self_loops=True)
         )
-        with serve_tcp(engine, settings, background=True) as handle:
+        with serve_tcp(engine, settings) as handle:
             answers = self._ask(
                 handle.address, ['{"op":"reload"}', '{"op":"ping"}']
             )

@@ -44,7 +44,7 @@ class TestChecksum:
     def test_tampered_payload_fails_the_checksum(self, graph):
         document = KvccIndex.build(graph).to_json()
         tampered = document.replace('"complete":true', '"complete":false')
-        assert tampered != document  # the uncapped build is complete
+        assert tampered != document  # every build is complete
         with pytest.raises(ParseError, match="checksum mismatch"):
             KvccIndex.from_json(tampered)
 

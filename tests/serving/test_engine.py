@@ -1,17 +1,20 @@
-"""QueryEngine: differential correctness, cache, fallback, deadlines.
+"""QueryEngine: differential correctness, cache, deadlines.
 
 The load-bearing suite is the differential one: for every vertex and
-every indexed k across three generator families, batched indexed
-answers must agree with direct :func:`kvcc_containing` enumeration —
-including overlap vertices (several k-VCCs per level) and k above a
-capped index's ceiling (live fallback).
+every k from 1 to two above the ceiling, across three generator
+families, two K6s that share two vertices and three registry
+stand-ins, the batched answers of a saved and reloaded index must be
+exactly the k-VCCs that contain the vertex — including overlap
+vertices, which belong to several k-VCCs of one level.
 """
 
 import pytest
 
 from repro import obs
-from repro.core.query import kvcc_containing
+from repro.core.vcce_td import vcce_td
+from repro.datasets import DATASETS
 from repro.errors import ParameterError
+from repro.graph import connected_components
 from repro.graph.generators import (
     community_graph,
     overlapping_cliques_graph,
@@ -29,51 +32,52 @@ GRAPHS = {
     "planted": planted_kvcc_graph(3, 16, 4, seed=7),
     "community": community_graph([14, 12], k=3, seed=1),
     "overlap": overlapping_cliques_graph(3, 6, overlap=2, seed=0),
+    # Two K6s sharing vertices 4 and 5: both are 4-VCCs containing them.
+    "two-k6": overlapping_cliques_graph(2, 6, overlap=2, seed=0),
 }
+
+STAND_INS = ("ca-dblp", "sc-shipsec", "uk-2005")
+
+
+def _exact_answers(graph, k) -> dict:
+    """vertex → the set of k-VCCs containing it, from the exact oracle:
+    the connected components with more than one vertex at k = 1,
+    VCCE-TD above."""
+    if k == 1:
+        components = [frozenset(c) for c in connected_components(graph) if len(c) > 1]
+    else:
+        components = vcce_td(graph, k).components
+    answers: dict = {}
+    for component in components:
+        for vertex in component:
+            answers.setdefault(vertex, set()).add(component)
+    return answers
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("name", [*sorted(GRAPHS), *STAND_INS])
     def test_batched_indexed_answers_match_direct(self, name, tmp_path):
-        graph = GRAPHS[name]
+        graph = GRAPHS[name] if name in GRAPHS else DATASETS[name].graph()
         index = KvccIndex.build(graph)
         path = tmp_path / "idx.json"
         index.save(path)
         engine = QueryEngine(graph, KvccIndex.load(path))
 
-        ks = range(2, index.ceiling + 2)  # +1 probes above the ceiling
+        ks = range(1, index.ceiling + 3)  # two levels above the ceiling
+        exact = {k: _exact_answers(graph, k) for k in ks}
         queries = [(v, k) for v in graph.vertices() for k in ks]
         results = engine.query_batch(queries)
-        overlap_vertices = 0
+        assert len(results) == len(queries)
+        multi_component = 0
         for result in results:
-            direct = kvcc_containing(graph, result.vertex, result.k)
-            if direct is None:
-                assert result.components == ()
-                assert result.best is None
-            else:
-                # kvcc_containing returns *one* k-VCC of the vertex; the
-                # index returns all of them (overlap vertices belong to
-                # up to k-1 of a level's components).
-                assert direct in result.components
-                if len(result.components) == 1:
-                    assert result.best == direct
-                else:
-                    overlap_vertices += 1
-        if name == "overlap":
-            assert overlap_vertices > 0, "overlap family must exercise overlap"
-
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_above_ceiling_fallback_matches_direct(self, name):
-        graph = GRAPHS[name]
-        engine = QueryEngine(graph, KvccIndex.build(graph, max_k=2))
-        for vertex in graph.vertices():
-            result = engine.query(vertex, 3)
-            assert result.source == "live"
-            direct = kvcc_containing(graph, vertex, 3)
-            if direct is None:
-                assert result.components == ()
-            else:
-                assert result.components == (direct,)
+            expected = exact[result.k].get(result.vertex, set())
+            assert len(result.components) == len(expected)
+            assert set(result.components) == expected
+            assert result.source == "index"
+            assert (result.best is None) == (not expected)
+            multi_component += len(expected) > 1
+        if name in ("overlap", "two-k6"):
+            assert multi_component > 0, "the input must exercise overlap"
 
 
 class TestEngineBasics:
@@ -106,13 +110,6 @@ class TestEngineBasics:
             engine.query(u, 2)
         assert collector.counter("serving.index.stale_rebuilds") == 1
         assert not engine.index.is_stale(edited)
-
-    def test_index_only_engine_rejects_uncovered_k(self):
-        index = KvccIndex.build(GRAPHS["planted"], max_k=2)
-        engine = QueryEngine(index=index)
-        assert engine.query(0, 2).source == "index"
-        with pytest.raises(ParameterError):
-            engine.query(0, 3)
 
     def test_complete_index_answers_any_k_without_graph(self):
         index = KvccIndex.build(GRAPHS["planted"])

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.hierarchy import kvcc_hierarchy, membership_levels
-from repro.errors import ParameterError, ParseError
+from repro.errors import IndexCorruptionError, ParameterError, ParseError
 from repro.graph import Graph
 from repro.graph.generators import (
     community_graph,
@@ -56,6 +56,18 @@ PINNED = {
         ',"b","c"]]}}',
     ),
 }
+
+#: The "ints" graph's index as written with a ``max_k=2`` cap, which
+#: index builds no longer take: a checksum-valid document that lacks
+#: level 3 and says so with ``"max_k":2`` and ``"complete":false``.
+CAPPED = (
+    '{"schema":"repro.kvcc-index/1","checksum":"952408e41e483f7e3cda4c77'
+    '8224f8e6cabd26723232685c0ccf7f0e0bb7b2bf","fingerprint":"5d5d59af0b'
+    'b9b010500ce4bc69cb590586ac737785beaf377517e2b915b47886","max_k":2,"'
+    'ceiling":2,"complete":false,"num_vertices":7,"num_edges":8,"vertice'
+    's":[1,2,3,7,9,10,100],"levels":{"1":[[1,2,3,9,10]],"2":[[1,2,3,9,10'
+    ']]}}'
+)
 
 #: Mixed int and str labels in one graph (a 3-VCC on five vertices).
 MIXED_EDGES = [
@@ -127,21 +139,9 @@ class TestBuild:
             k: tuple(components)
             for k, components in kvcc_hierarchy(planted).items()
         }
-        assert index.complete
-        assert index.max_k is None
-
-    def test_capped_build_is_incomplete(self, planted):
-        index = KvccIndex.build(planted, max_k=2)
-        assert index.ceiling == 2
-        assert not index.complete
-        assert index.covers(2)
-        assert not index.covers(3)
-
-    def test_cap_beyond_exhaustion_is_complete(self, planted):
-        full = KvccIndex.build(planted)
-        index = KvccIndex.build(planted, max_k=full.ceiling + 5)
-        assert index.complete
-        assert index.covers(full.ceiling + 100)
+        document = json.loads(index.to_json())
+        assert document["max_k"] is None
+        assert document["complete"] is True
 
     def test_membership_levels_match_live(self, planted):
         index = KvccIndex.build(planted)
@@ -158,17 +158,14 @@ class TestBuild:
         assert len(solo) == g.num_vertices - 2
 
     def test_unknown_vertex_and_uncovered_k_raise(self, planted):
-        index = KvccIndex.build(planted, max_k=2)
+        # k < 1 is the only level the index does not cover.
+        index = KvccIndex.build(planted)
         with pytest.raises(ParameterError):
             index.containing("nope", 2)
         with pytest.raises(ParameterError):
-            index.containing(0, 3)
-        with pytest.raises(ParameterError):
-            index.covers(0)
-
-    def test_invalid_max_k_rejected(self, planted):
-        with pytest.raises(ParameterError):
-            KvccIndex.build(planted, max_k=0)
+            index.lookup(0, 0)
+        # Above the ceiling there is no k-VCC: an empty answer.
+        assert index.lookup(0, index.ceiling + 1) == ((), ())
 
 
 class TestRoundTrip:
@@ -199,7 +196,6 @@ class TestRoundTrip:
         assert reloaded.levels == index.levels
         assert reloaded.vertices == index.vertices
         assert reloaded.fingerprint == index.fingerprint
-        assert reloaded.complete == index.complete
         for vertex in graph.vertices():
             for k in range(1, index.ceiling + 1):
                 assert reloaded.containing(vertex, k) == index.containing(
@@ -275,6 +271,17 @@ class TestVersioning:
         payload["ceiling"] = 99
         with pytest.raises(ParseError):
             KvccIndex.from_json(json.dumps(payload))
+
+    def test_capped_document_is_rejected_and_quarantined(self, tmp_path):
+        with pytest.raises(ParseError, match="capped index"):
+            KvccIndex.from_json(CAPPED)
+        path = tmp_path / "capped.idx.json"
+        path.write_text(CAPPED + "\n", encoding="utf-8")
+        with pytest.raises(IndexCorruptionError) as excinfo:
+            KvccIndex.load(path)
+        assert excinfo.value.quarantine == f"{path}.corrupt"
+        assert not path.exists()
+        assert (tmp_path / "capped.idx.json.corrupt").exists()
 
     def test_schema_constant_is_versioned(self):
         assert INDEX_SCHEMA.endswith("/1")

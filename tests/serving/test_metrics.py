@@ -157,7 +157,7 @@ class TestHttpServer:
 class TestTop:
     def _serve(self):
         graph = planted_kvcc_graph(2, 8, 3, seed=1)
-        return serve_tcp(QueryEngine(graph), background=True)
+        return serve_tcp(QueryEngine(graph))
 
     def test_poll_and_frames_against_a_live_daemon(self):
         with obs.collecting():

@@ -68,7 +68,7 @@ class TestOps:
     def test_stats_describes_engine(self, engine):
         response, _ = _roundtrip(engine, {"op": "stats"})
         assert response["ok"]
-        assert response["stats"]["index"]["complete"] is True
+        assert response["stats"]["index"]["ceiling"] == engine.index.ceiling
         assert response["stats"]["has_graph"] is True
 
     def test_shutdown_stops_session(self, engine):
@@ -278,7 +278,7 @@ class TestAccessLog:
         assert record["request_id"] == "log-1"
         assert record["op"] == "query" and record["class"] == "point"
         assert record["outcome"] == "ok"
-        assert record["tier"] in ("cache", "index", "live")
+        assert record["tier"] in ("cache", "index")
         for key in ("ts", "queue_ms", "service_ms", "handle_ms"):
             assert key in record, key
 

@@ -1,11 +1,10 @@
 """Answered components leave in canonical label order, sorted once.
 
-The index orders each component's members once per generation (and the
-engine each live answer once, when it is resolved), so the protocol only
-copies them. ``_reference_encode_result`` below is the encoder that
-sorted every component on every request instead; every response must
-match it byte for byte, on every answering tier and for int, str, mixed
-and negative labels.
+The index orders each component's members once per generation, so the
+protocol only copies them. ``_reference_encode_result`` below is the
+encoder that sorted every component on every request instead; every
+response must match it byte for byte, from the index and from the
+cache, and for int, str, mixed and negative labels.
 """
 
 import json
@@ -75,15 +74,6 @@ def _smoke_lines(graph: Graph, seed: int) -> list[str]:
     return lines
 
 
-def _engine(graph: Graph, index: KvccIndex, tier: str) -> QueryEngine:
-    # "index": a complete index and no graph, so only the index and
-    # cache tiers answer; "live": an index capped below the ceiling
-    # plus the graph, so k above 2 resolves live.
-    if tier == "index":
-        return QueryEngine(index=index)
-    return QueryEngine(graph, index)
-
-
 class _ExpiresAfter:
     """A deadline that expires after ``checks`` calls to ``expired()``."""
 
@@ -96,19 +86,18 @@ class _ExpiresAfter:
 
 
 class TestMatchesPerRequestSort:
-    @pytest.mark.parametrize("tier", ["index", "live"])
     @pytest.mark.parametrize("labels", sorted(RELABELS))
     def test_every_smoke_response_matches_the_reference(
-        self, labels, tier, monkeypatch
+        self, labels, monkeypatch
     ):
         graph = _graph(labels)
-        index = KvccIndex.build(graph, max_k=None if tier == "index" else 2)
+        index = KvccIndex.build(graph)
         lines = _smoke_lines(graph, seed=len(labels))
-        actual = _engine(graph, index, tier)
+        actual = QueryEngine(graph, index)
         responses = [handle_line(actual, line)[0] for line in lines]
         # A twin engine fed the same lines holds the same cache, so
         # each answer comes from the same tier on both sides.
-        twin = _engine(graph, index, tier)
+        twin = QueryEngine(graph, index)
         monkeypatch.setattr(
             "repro.serving.protocol._encode_result", _reference_encode_result
         )
@@ -119,15 +108,14 @@ class TestMatchesPerRequestSort:
             for result in response.get("results", [response]):
                 if "source" in result:
                     sources.add(result["source"])
-        wanted = {"index", "cache"} | ({"live"} if tier == "live" else set())
-        assert sources == wanted
+        assert sources == {"index", "cache"}
 
     @pytest.mark.parametrize("labels", sorted(RELABELS))
     def test_deadline_partial_batch_matches_the_reference(
         self, labels, monkeypatch
     ):
         graph = _graph(labels)
-        index = KvccIndex.build(graph, max_k=2)
+        index = KvccIndex.build(graph)
         vertices = sorted(graph.vertices(), key=_label_key)
         request = {
             "op": "batch",
@@ -150,7 +138,7 @@ class TestMatchesPerRequestSort:
         response = json.loads(actual)
         assert response["code"] == "deadline"
         assert response["completed"] == 5 and response["total"] == 8
-        assert {r["source"] for r in response["results"]} == {"index", "live"}
+        assert {r["source"] for r in response["results"]} == {"index"}
 
 
 class TestLabelOrderOnTheWire:
@@ -199,23 +187,3 @@ class TestOrderedOncePerGeneration:
                 sources.add(result.get("source"))
         assert sources >= {"index", "cache"}
         assert calls == []
-
-    def test_a_live_answer_is_ordered_once(self, monkeypatch):
-        graph = _graph("negative")
-        engine = QueryEngine(graph, KvccIndex.build(graph, max_k=2))
-        engine.ensure_index()
-        calls = []
-
-        def counting(vertex):
-            calls.append(vertex)
-            return _label_key(vertex)
-
-        monkeypatch.setattr("repro.serving.index._label_key", counting)
-        line = '{"op":"query","v":-1,"k":3}'
-        first = json.loads(handle_line(engine, line)[0])
-        assert first["source"] == "live"
-        assert len(calls) == len(first["components"][0]) > 0
-        again = json.loads(handle_line(engine, line)[0])
-        assert again["source"] == "cache"
-        assert again["components"] == first["components"]
-        assert len(calls) == len(first["components"][0])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.graph import community_graph, write_edge_list
+from tests.serving.test_index import CAPPED, PINNED
 
 
 @pytest.fixture
@@ -293,17 +294,11 @@ class TestIndexCommand:
         index_path = str(tmp_path / "graph.idx.json")
         assert main(["index", "build", edge_list, "-o", index_path]) == 0
         out = capsys.readouterr().out
-        assert "index saved to" in out and "complete" in out
+        assert "index saved to" in out and "ceiling k=" in out
         assert main(["index", "inspect", index_path]) == 0
         out = capsys.readouterr().out
         assert "repro.kvcc-index/1" in out
         assert "Indexed levels" in out
-
-    def test_build_with_max_k_reports_cap(self, edge_list, tmp_path, capsys):
-        index_path = str(tmp_path / "graph.idx.json")
-        assert main(["index", "build", edge_list, "-o", index_path,
-                     "--max-k", "2"]) == 0
-        assert "capped at 2" in capsys.readouterr().out
 
     def test_build_emits_serving_counters_in_stats_json(
         self, edge_list, tmp_path, capsys
@@ -424,6 +419,32 @@ class TestServeCommand:
         assert main(["serve", "--index", str(index_path)]) == 2
         assert "corrupt" in capsys.readouterr().err
 
+    def test_serve_capped_index_is_rebuilt_from_the_graph(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        graph, _, _ = PINNED["ints"]
+        graph_path = tmp_path / "ints.txt"
+        write_edge_list(graph, graph_path)
+        index_path = tmp_path / "capped.idx.json"
+        index_path.write_text(CAPPED + "\n", encoding="utf-8")
+        code, responses, err = self._serve(
+            monkeypatch, capsys,
+            ["serve", "--graph", str(graph_path), "--index", str(index_path)],
+            ['{"op":"query","v":1,"k":3}'],
+        )
+        assert code == 0
+        assert "warning" in err and "capped index" in err
+        # Level 3, which the capped file lacked, from the rebuilt index.
+        assert responses[0]["source"] == "index"
+        assert responses[0]["components"] == [[1, 2, 3, 10]]
+        assert (tmp_path / "capped.idx.json.corrupt").exists()
+
+    def test_serve_capped_index_without_graph_errors(self, tmp_path, capsys):
+        index_path = tmp_path / "capped.idx.json"
+        index_path.write_text(CAPPED + "\n", encoding="utf-8")
+        assert main(["serve", "--index", str(index_path)]) == 2
+        assert "capped index" in capsys.readouterr().err
+
     def test_serve_admission_flags_parse(self):
         args = build_parser().parse_args(
             ["serve", "--graph", "g.txt", "--max-queue", "8"]
@@ -437,6 +458,28 @@ class TestServeCommand:
     def test_serve_rejects_bad_tcp_spec(self, edge_list, capsys):
         assert main(["serve", "--graph", edge_list, "--tcp", "nope"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--tcp", "127.0.0.1:70000"],
+            ["serve", "--tcp", "127.0.0.1:-1"],
+            ["serve", "--tcp", "127.0.0.1:0", "--metrics-port", "70000"],
+            ["top", "127.0.0.1:70000"],
+        ],
+        ids=["tcp-70000", "tcp-minus-1", "metrics-70000", "top-70000"],
+    )
+    def test_out_of_range_port_is_a_usage_error(self, argv, edge_list, capsys):
+        if argv[0] == "serve":
+            argv = [*argv, "--graph", edge_list]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag's value
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error" in err and "0-65535" in err
+        assert "Traceback" not in err
 
 
 class TestLoadtestCommand:
