@@ -17,7 +17,9 @@ vertices of the host graph while preserving k-vertex connectivity:
   boundary ring by the number of neighbours in the seed; absorbs the
   ≥ k bucket directly and absorbs maximal cliques ``K ⊆ C_r`` with
   ``|K| ≥ k+1-r`` and ``|N_S(K)| ≥ k`` (Theorem 4) — no max-flow calls
-  in the hot path.
+  in the hot path. Bron–Kerbosch runs on a bucket only when some
+  component of ``G[C_r]`` has ≥ k+1-r vertices with ≥ k anchors in the
+  grown set between them; otherwise no clique of it can pass.
 
 Soundness note: the paper's Theorem 4 conditions admit rare corner cases
 where the clique's anchor vertices overlap too much for the k disjoint
@@ -252,7 +254,7 @@ def _ring_pass(graph: Graph, k: int, members: set) -> set:
     # Rings k-1 … 1: absorb qualifying maximal cliques (Theorem 4).
     for r in range(k - 1, 0, -1):
         snapshot = set(buckets[r])
-        if len(snapshot) < k + 1 - r:
+        if not _bucket_may_absorb(graph, snapshot, members, absorbed, k, k + 1 - r):
             continue
         ring_subgraph = graph.subgraph(snapshot)
         # The enumeration reads only the immutable ring snapshot, so
@@ -271,6 +273,41 @@ def _ring_pass(graph: Graph, k: int, members: set) -> set:
             for v in clique:
                 promote_neighbours(v)
     return absorbed
+
+
+def _bucket_may_absorb(
+    graph: Graph, bucket: set, members: set, absorbed: set, k: int, min_size: int
+) -> bool:
+    """Whether some component of ``G[bucket]`` passes Theorem 4's bound.
+
+    A component qualifies when it has ≥ ``min_size`` vertices and its
+    vertices have ≥ k anchors in the grown set ``members ∪ absorbed``.
+    When none does, no clique of the bucket can be absorbed:
+
+    * a clique is connected, so it lies inside one component of
+      ``G[bucket]``, and its anchors are a subset of that component's;
+    * the bound holds for the whole bucket, not only at its start:
+      ``promote_neighbours`` moves every ring vertex that gains an
+      absorbed neighbour out of ``buckets[r]``, and ``_ring_pass``
+      skips any clique with such a member, so every clique it still
+      checks has exactly the anchors it had at the snapshot.
+    """
+    neighbors = graph.neighbors
+    unseen = set(bucket)
+    while len(unseen) >= min_size:  # else every component left is too small
+        component = [unseen.pop()]
+        for u in component:  # grows while it is walked: a BFS
+            reached = neighbors(u) & unseen
+            unseen -= reached
+            component.extend(reached)
+        if len(component) < min_size:
+            continue
+        anchors: set = set()
+        for u in component:
+            anchors.update(neighbors(u) & members, neighbors(u) & absorbed)
+            if len(anchors) >= k:
+                return True
+    return False
 
 
 def _clique_absorbable(

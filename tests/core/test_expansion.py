@@ -1,9 +1,12 @@
 """Tests for UE, ME, and RME expansion strategies."""
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.expansion as expansion
 from repro import obs
 from repro.core import (
     multiple_expansion,
@@ -17,6 +20,8 @@ from repro.graph import (
     circulant_graph,
     clique_graph,
     community_graph,
+    maximal_cliques_at_least,
+    overlapping_cliques_graph,
     planted_kvcc_graph,
     random_gnm,
     ue_trap_graph,
@@ -175,6 +180,112 @@ class TestRingExpansion:
         assert collector.counter("expansion.rme.cliques_absorbed") >= 1
 
 
+#: Inputs of the bucket-prune differential, built at (k, seed).
+PRUNE_INPUTS = {
+    "gnm": lambda k, s: random_gnm(24, 90, seed=s),
+    "planted": lambda k, s: planted_kvcc_graph(
+        2, 24, k, seed=s, periphery_pairs=2, bridge_width=2
+    ),
+    "two_star": lambda k, s: community_graph(
+        [14, 14], k=k, seed=s, bridge_style="two_star", periphery_pairs=2
+    ),
+    "ue_trap": lambda k, s: ue_trap_graph(k, tail=4, seed=s),
+    "overlap": lambda k, s: overlapping_cliques_graph(20, 8, 2, seed=s, noise_edges=20),
+}
+
+
+def _rme_outcome(graph: Graph, k: int, seed: set) -> tuple[set, dict]:
+    """RME's grown set and its counters (absent counters read 0)."""
+    with obs.collecting() as collector:
+        grown = ring_expansion(graph, k, seed)
+    return grown, collections.Counter(collector.counters)
+
+
+def _clique_with_ring(size: int, anchors: dict, *edges: tuple) -> Graph:
+    """K_size on 0..size-1, each ring vertex joined to its anchors, and edges."""
+    g = clique_graph(size)
+    for u, targets in anchors.items():
+        for w in targets:
+            g.add_edge(u, w)
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+class TestBucketPrune:
+    """A ring bucket whose components fail Theorem 4's anchor bound is
+    skipped before Bron–Kerbosch runs, and the result never moves."""
+
+    @given(
+        name=st.sampled_from(sorted(PRUNE_INPUTS)),
+        k=st.sampled_from([3, 4]),
+        seed_val=st.integers(min_value=0, max_value=300),
+        pick=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_result_as_searching_every_bucket(self, name, k, seed_val, pick):
+        g = PRUNE_INPUTS[name](k, seed_val)
+        cliques = maximal_cliques_at_least(g, k + 1)
+        # An input without a (k+1)-clique grows from 0..2k-1 instead: in
+        # ue_trap_graph, which never has one, that is its k-connected core.
+        seed = set(cliques[pick % len(cliques)]) if cliques else set(range(2 * k))
+        grown, counters = _rme_outcome(g, k, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expansion, "_bucket_may_absorb", lambda *args: True)
+            searched, searched_counters = _rme_outcome(g, k, seed)
+        assert grown == searched
+        checks = "expansion.rme.clique_checks"
+        assert counters[checks] <= searched_counters[checks]
+        del counters[checks], searched_counters[checks]
+        assert counters == searched_counters
+
+    def test_bucket_with_too_few_anchors_runs_no_search(self):
+        g = overlapping_cliques_graph(30, 10, 2, seed=1, noise_edges=30)
+        seed = set(range(8, 18))
+        grown, counters = _rme_outcome(g, 4, seed)
+        assert grown == seed
+        # C_2 (16 vertices) holds two cliques of ≥ k+1-r = 3 vertices,
+        # but none of its components has k anchors: no search runs.
+        assert counters["expansion.rme.clique_checks"] == 0
+
+    def test_both_bounds_admit_equality(self):
+        # C_2 = {a, b}: exactly k+1-r = 2 vertices with exactly k = 3
+        # anchors {0, 1, 2} between them, so the pair is absorbed.
+        g = _clique_with_ring(4, {"a": (0, 1), "b": (1, 2)}, ("a", "b"))
+        grown, counters = _rme_outcome(g, 3, set(range(4)))
+        assert grown == {0, 1, 2, 3, "a", "b"}
+        assert counters["expansion.rme.cliques_absorbed"] == 1
+        # With b anchored on 0 instead, the pair has 2 anchors: no search.
+        g = _clique_with_ring(4, {"a": (0, 1), "b": (1, 0)}, ("a", "b"))
+        grown, counters = _rme_outcome(g, 3, set(range(4)))
+        assert grown == set(range(4))
+        assert counters["expansion.rme.clique_checks"] == 0
+
+    def test_components_too_small_for_a_clique_run_no_search(self, monkeypatch):
+        # C_2 = two disjoint pairs with k = 4 anchors each, but a clique
+        # needs k+1-r = 3 vertices, so Bron–Kerbosch is never called.
+        anchors = {"a": (0, 1), "b": (2, 3), "c": (1, 2), "d": (3, 4)}
+        g = _clique_with_ring(5, anchors, ("a", "b"), ("c", "d"))
+        searched = []
+        search = expansion.maximal_cliques_at_least
+        monkeypatch.setattr(
+            expansion,
+            "maximal_cliques_at_least",
+            lambda *args: searched.append(args) or search(*args),
+        )
+        assert ring_expansion(g, 4, set(range(5))) == set(range(5))
+        assert searched == []
+
+    def test_anchors_absorbed_earlier_in_the_pass_count(self):
+        # w joins from the top bucket and promotes x into C_2; the pair
+        # {x, y} has k = 3 anchors only with w, and joins in that pass.
+        anchors = {"w": (0, 1, 2), "x": (0, "w"), "y": (1, "w")}
+        g = _clique_with_ring(4, anchors, ("x", "y"))
+        grown, counters = _rme_outcome(g, 3, set(range(4)))
+        assert grown == {0, 1, 2, 3, "w", "x", "y"}
+        assert counters["expansion.rme.rounds"] == 2
+
+
 class TestStrategyHierarchy:
     """UE ⊆ RME ⊆ ME(None) on any input, and all stay k-connected."""
 
@@ -198,8 +309,6 @@ class TestStrategyHierarchy:
     def test_me_sound_on_random_graphs(self, seed_val):
         g = random_gnm(24, 90, seed=seed_val)
         # Grow from any (k+1)-clique seed found in the graph.
-        from repro.graph import maximal_cliques_at_least
-
         seed = next(iter(maximal_cliques_at_least(g, 4)), None)
         if seed is None:
             return

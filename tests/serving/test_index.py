@@ -13,7 +13,7 @@ from repro.graph.generators import (
     planted_kvcc_graph,
 )
 from repro.serving import INDEX_SCHEMA, KvccIndex, graph_fingerprint
-from repro.serving.index import ordered_members
+from repro.serving.index import _payload_checksum, ordered_members
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,16 @@ class TestRoundTrip:
         assert index.is_stale(edited)
 
 
+def _resealed(payload: dict) -> str:
+    """``payload`` as a document whose checksum matches its edited body.
+
+    A stale checksum fails first, so without this ``from_json`` never
+    reaches the consistency check a tampering test is named for.
+    """
+    core = {key: value for key, value in payload.items() if key != "checksum"}
+    return json.dumps({**payload, "checksum": _payload_checksum(core)})
+
+
 class TestVersioning:
     def test_unknown_schema_rejected(self, planted):
         payload = json.loads(KvccIndex.build(planted).to_json())
@@ -257,20 +267,20 @@ class TestVersioning:
     def test_inconsistent_counts_rejected(self, planted):
         payload = json.loads(KvccIndex.build(planted).to_json())
         payload["num_vertices"] = 3
-        with pytest.raises(ParseError):
-            KvccIndex.from_json(json.dumps(payload))
+        with pytest.raises(ParseError, match="num_vertices 3 does not match"):
+            KvccIndex.from_json(_resealed(payload))
 
     def test_component_outside_vertex_list_rejected(self, planted):
         payload = json.loads(KvccIndex.build(planted).to_json())
         payload["levels"]["2"][0].append("ghost")
-        with pytest.raises(ParseError):
-            KvccIndex.from_json(json.dumps(payload))
+        with pytest.raises(ParseError, match="outside the vertex list"):
+            KvccIndex.from_json(_resealed(payload))
 
     def test_ceiling_mismatch_rejected(self, planted):
         payload = json.loads(KvccIndex.build(planted).to_json())
         payload["ceiling"] = 99
-        with pytest.raises(ParseError):
-            KvccIndex.from_json(json.dumps(payload))
+        with pytest.raises(ParseError, match="ceiling 99 does not match"):
+            KvccIndex.from_json(_resealed(payload))
 
     def test_capped_document_is_rejected_and_quarantined(self, tmp_path):
         with pytest.raises(ParseError, match="capped index"):
