@@ -4,7 +4,7 @@ These go beyond the paper's Table V (which ablates the three RIPPLE
 modules) and quantify the implementation-level choices:
 
 1. **flow cutoff at k** — every connectivity question the pipelines ask
-   is a threshold test, so Dinic stops after k augmenting paths;
+   is a threshold test, so a flow query stops after k augmenting paths;
 2. **merge-first round ordering** in Algorithm 5;
 3. **sparse certificates** in the top-down cut search;
 4. **ME neighbourhood scope** — the accuracy/time dial the paper's
@@ -54,7 +54,7 @@ def test_ablation_flow_cutoff(benchmark, emit):
     emit(
         "ablation_flow_cutoff",
         render_table(
-            "Ablation: Dinic cutoff at k vs full max-flow "
+            "Ablation: flow cutoff at k vs full max-flow "
             f"({20 * len(candidates)} σ-queries, C200(1..12), k={k})",
             ["variant", "seconds"],
             [["cutoff=k", round(with_cutoff, 4)],

@@ -1,4 +1,5 @@
-"""Flow substrate: Dinic max-flow and vertex-connectivity queries."""
+"""Flow substrate: vertex-split max-flow, Dinic (k-ECC's edge flows) and
+vertex-connectivity queries."""
 
 from repro.flow.connectivity import (
     connectivity_search,

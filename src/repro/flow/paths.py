@@ -18,7 +18,7 @@ from collections.abc import Hashable
 
 from repro.errors import ParameterError
 from repro.flow.network import VertexSplitNetwork
-from repro.graph.adjacency import Graph
+from repro.graph.adjacency import Graph, label_key
 
 __all__ = ["vertex_disjoint_paths"]
 
@@ -47,23 +47,38 @@ def vertex_disjoint_paths(
         raise ParameterError(f"limit must be >= 1 or None, got {limit}")
 
     direct: list[list] = []
-    work = graph
     if graph.has_edge(source, sink):
         # Peel the direct edge off as its own path; the remaining flow
         # question is then well-posed on the split network.
         direct.append([source, sink])
         if limit is not None and limit == 1:
             return direct
-        work = graph.copy()
-        work.remove_edge(source, sink)
+
+    # Augmenting paths follow set iteration order, which moves with
+    # PYTHONHASHSEED on str labels. The flow runs on an int relabelling
+    # built in label_key order, vertices and neighbour lists inserted
+    # sorted, so the paths returned do not move.
+    order = sorted(graph.vertices(), key=label_key)
+    index = {u: i for i, u in enumerate(order)}
+    work = Graph()
+    for i in range(len(order)):
+        work.add_vertex(i)
+    for i, u in enumerate(order):
+        for j in sorted(index[v] for v in graph.neighbors(u)):
+            if i < j:
+                work.add_edge(i, j)
+    s, t = index[source], index[sink]
+    if direct:
+        work.remove_edge(s, t)
 
     remaining = None if limit is None else limit - len(direct)
     network = VertexSplitNetwork(work)
     cutoff = float("inf") if remaining is None else remaining
-    flow = int(network.max_flow(source, sink, cutoff=cutoff))
+    flow = int(network.max_flow(s, t, cutoff=cutoff))
     if flow == 0:
         return direct
-    return direct + _decompose(network, source, sink, flow)
+    paths = _decompose(network, s, t, flow)
+    return direct + [[order[i] for i in path] for path in paths]
 
 
 def _decompose(

@@ -61,51 +61,6 @@ class TestBasics:
             Dinic(-1)
 
 
-class TestAddEdgesBulk:
-    PAIRS = [(0, 1), (1, 3), (0, 2), (2, 3), (1, 2)]
-
-    def test_layout_matches_repeated_add_edge(self):
-        one = Dinic(4)
-        for u, v in self.PAIRS:
-            one.add_edge(u, v, 7)
-        bulk = Dinic(4)
-        first = bulk.add_edges([x for uv in self.PAIRS for x in uv], 7)
-        assert first == 0
-        assert bulk.to == one.to
-        assert bulk.cap == one.cap
-        assert bulk.next_edge == one.next_edge
-        assert bulk.head == one.head
-
-    def test_flow_matches(self):
-        bulk = Dinic(4)
-        bulk.add_edges([0, 1, 1, 3, 0, 2, 2, 3], 2)
-        assert bulk.max_flow(0, 3) == 4
-
-    def test_appends_after_existing_edges(self):
-        d = Dinic(4)
-        d.add_edge(0, 1, 1)
-        first = d.add_edges([1, 2, 2, 3], 5)
-        assert first == 2
-        assert d.max_flow(0, 3) == 1
-
-    def test_empty_is_noop(self):
-        d = Dinic(3)
-        assert d.add_edges([], 1) == 0
-        assert d.to == []
-
-    def test_validation(self):
-        d = Dinic(3)
-        with pytest.raises(ParameterError):
-            d.add_edges([0, 1, 2], 1)  # odd length
-        with pytest.raises(ParameterError):
-            d.add_edges([0, 5], 1)  # out of range
-        with pytest.raises(ParameterError):
-            d.add_edges([0, 1], -1)  # negative capacity
-        with pytest.raises(ParameterError):
-            d.add_edges([0, 1], 1.5)  # fractional capacity
-        assert d.to == []  # nothing half-applied
-
-
 class TestCutoff:
     def test_cutoff_truncates(self):
         d = Dinic(2)

@@ -1,12 +1,14 @@
 """Tests for vertex-split networks (Menger counting + virtual vertices)."""
 
+import itertools
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, ParameterError
-from repro.flow import VertexSplitNetwork
+from repro.flow import Dinic, VertexSplitNetwork
 from repro.graph import (
     Graph,
     circulant_graph,
@@ -196,3 +198,114 @@ class TestVertexCuts:
                 assert len(cut) == flow
                 sub = g.subgraph(g.vertex_set() - cut)
                 assert v not in component_of(sub, u)
+
+
+class _SplitOracle:
+    """The split network built explicitly as Dinic arcs.
+
+    Label i gets ``i_in = 2i`` and ``i_out = 2i + 1`` with a unit
+    internal arc; every adjacency (σ/τ attachments included) becomes an
+    arc ``u_out → v_in`` of capacity 2n + 1, more than any flow, so
+    minimum cuts cross only internal arcs.
+    """
+
+    def __init__(self, graph, members, virtuals):
+        member_set = graph.vertex_set() if members is None else set(members)
+        adjacent = {u: graph.neighbors(u) & member_set for u in member_set}
+        for label, attached in virtuals.items():
+            adjacent[label] = set(attached)
+            for v in attached:
+                adjacent[v] = adjacent[v] | {label}
+        self.index = {u: i for i, u in enumerate(adjacent)}
+        n = len(self.index)
+        self.dinic = Dinic(2 * n)
+        for i in range(n):
+            self.dinic.add_edge(2 * i, 2 * i + 1, 1)
+        for u, nbrs in adjacent.items():
+            for v in nbrs:
+                self.dinic.add_edge(
+                    2 * self.index[u] + 1, 2 * self.index[v], 2 * n + 1
+                )
+        self.caps0 = list(self.dinic.cap)
+
+    def max_flow(self, source, sink, cutoff):
+        self.dinic.cap[:] = self.caps0
+        return self.dinic.max_flow(
+            2 * self.index[source] + 1, 2 * self.index[sink], cutoff=cutoff
+        )
+
+    def cut(self, source, sink, k):
+        if self.max_flow(source, sink, k) >= k:
+            return None
+        side = self.dinic.min_cut_side(2 * self.index[source] + 1)
+        return {
+            label
+            for label, i in self.index.items()
+            if 2 * i in side and 2 * i + 1 not in side
+        }
+
+
+def _check_path_decomposition(net, source, sink, flow):
+    """``saturated_arcs`` splits into ``flow`` vertex-disjoint paths."""
+    outgoing: dict = {}
+    for u, v in net.saturated_arcs():
+        assert net.adjacent(u, v)
+        outgoing.setdefault(u, []).append(v)
+    assert len(outgoing.get(source, [])) == flow
+    inner: set = set()
+    for first in outgoing.get(source, []):
+        current = first
+        while current != sink:
+            assert current not in inner and current != source
+            inner.add(current)
+            (current,) = outgoing[current]
+    # Whatever is left is a circulation off every path.
+    assert all(len(heads) == 1 for u, heads in outgoing.items() if u != source)
+
+
+@st.composite
+def _network_case(draw):
+    # Sparse graphs of 6 or more vertices: augmenting paths that must
+    # reroute earlier flow through the reverse arcs are long, and rare
+    # in dense or tiny graphs (the tests above cover the tiny ones).
+    n = draw(st.integers(min_value=6, max_value=18))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    graph = Graph()
+    for v in range(n):
+        graph.add_vertex(v)
+    edges = st.lists(st.tuples(vertex, vertex), min_size=n, max_size=2 * n)
+    for u, v in draw(edges):
+        if u != v:
+            graph.add_edge(u, v)
+    members = None
+    if draw(st.booleans()):
+        members = set(draw(st.lists(vertex, min_size=1, unique=True)))
+    member_list = sorted(graph.vertex_set() if members is None else members)
+    virtuals = {}
+    for label in ("sigma", "tau")[: draw(st.integers(0, 2))]:
+        # Overlapping attachments are the FBM case (shared vertices).
+        attached = st.lists(st.sampled_from(member_list), unique=True)
+        virtuals[label] = set(draw(attached))
+    cutoff = draw(st.sampled_from([1, 2, 3, 4, 5, 6, float("inf")]))
+    return graph, members, virtuals, cutoff
+
+
+class TestAgainstSplitNetworkOracle:
+    """Equal answers to an explicitly built split network under Dinic."""
+
+    @given(_network_case())
+    @settings(max_examples=120, deadline=None)
+    def test_flows_cuts_and_paths_match(self, case):
+        graph, members, virtuals, cutoff = case
+        net = VertexSplitNetwork(graph, members, virtuals)
+        oracle = _SplitOracle(graph, members, virtuals)
+        k = net.size if cutoff == float("inf") else cutoff
+        for source, sink in itertools.permutations(oracle.index, 2):
+            if net.adjacent(source, sink):
+                continue
+            flow = net.max_flow(source, sink, cutoff)
+            assert flow == oracle.max_flow(source, sink, cutoff)
+            _check_path_decomposition(net, source, sink, flow)
+            assert net.vertex_cut_if_below(source, sink, k) == oracle.cut(
+                source, sink, k
+            )

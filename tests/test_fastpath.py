@@ -1,10 +1,10 @@
-"""The flow engine's speed-ups are invisible in the output.
+"""The flow and merge speed-ups are invisible in the output.
 
-Dirty-capacity reset and the indexed/memoized merge driver are pure
-speed-ups: Theorems 1 and 3 are evaluated on flow-equivalent networks
-either way. These tests pin the counters that show each one at work,
-check ME and FBM on dense scopes, and check RIPPLE-ME against the
-exact top-down enumerator and the ``verify.py`` audit on a dataset
+Network reuse across queries and the indexed/memoized merge driver are
+pure speed-ups: Theorems 1 and 3 are evaluated on flow-equivalent
+networks either way. These tests pin the counters that show each one
+at work, check ME and FBM on dense scopes, and check RIPPLE-ME against
+the exact top-down enumerator and the ``verify.py`` audit on a dataset
 where ME filter passes drop candidates.
 """
 
@@ -46,16 +46,6 @@ def _pendant_clique():
 
 class TestCounters:
     """The flow engine reports what it does through repro.obs."""
-
-    def test_dirty_reset_counters(self):
-        # The two-pendant scope runs several flows over each pass's
-        # network, so the second and later queries restore the arcs
-        # the previous query touched.
-        graph = _pendant_clique()
-        with obs.collecting() as on:
-            multiple_expansion(graph, 3, {0, 1, 2, 3})
-        assert on.counter("flow.reset.dirty_edges") > 0
-        assert on.counter("flow.reset.full") == 0
 
     def test_network_reuse_counters(self):
         graph = _pendant_clique()

@@ -1,11 +1,12 @@
-"""Cross-process determinism of the vertex-split network layout.
+"""Vertex-connectivity answers do not move with ``PYTHONHASHSEED``.
 
-`VertexSplitNetwork` indexes members in a sorted, hash-independent
-order and adds arcs in index order, so the Dinic arc arrays — and with
-them every tie-break a max-flow run makes — are identical across
-processes regardless of ``PYTHONHASHSEED``. This is what makes saved
-stats documents and traces comparable between runs: the arc layout is
-part of the observable behaviour (e.g. which minimum cut is reported).
+`VertexSplitNetwork` searches augmenting paths in set iteration order,
+which for str labels changes with the hash seed. The flow value and the
+minimum cut closest to the source are unique, so they must not change;
+`vertex_disjoint_paths` runs its flow on an int relabelling in
+``label_key`` order, so the paths it returns must not change either.
+This is what keeps saved results and stats documents comparable
+between runs.
 """
 
 import json
@@ -18,23 +19,29 @@ _SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 _SNIPPET = """
 import json
-from repro.flow.network import VertexSplitNetwork
+from repro.flow import VertexSplitNetwork, vertex_disjoint_paths
 from repro.graph.generators import community_graph
 
 graph = community_graph([9, 9], k=3, seed=7)
-members = {str(v) for v in graph.vertices()}  # str labels hash-randomise
-relabeled = type(graph).from_edges(
+relabeled = type(graph).from_edges(  # str labels hash-randomise
     (str(u), str(v)) for u, v in graph.edges()
 )
+members = relabeled.vertex_set()
 net = VertexSplitNetwork(
     relabeled, members, virtual_sources={"s": [str(v) for v in range(3)]}
 )
-dinic = net._dinic
+pairs = [
+    (u, v)
+    for u in sorted(members)
+    for v in sorted(members)
+    if u < v and not relabeled.has_edge(u, v)
+]
 print(json.dumps({
-    "cap": dinic.cap,
-    "to": dinic.to,
-    "head": dinic.head,
-    "cut": sorted(map(str, net.vertex_cut_if_below("8", "s", net.size))),
+    "flows": [net.max_flow(u, v) for u, v in pairs],
+    "cutoff_flows": [net.max_flow(u, v, cutoff=2) for u, v in pairs],
+    "cut": sorted(net.vertex_cut_if_below("8", "s", net.size)),
+    "paths": vertex_disjoint_paths(relabeled, "0", "4"),
+    "adjacent_paths": vertex_disjoint_paths(relabeled, "0", "8"),
 }))
 """
 
@@ -63,7 +70,9 @@ def _run(hash_seed: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_network_layout_stable_across_hash_seeds():
+def test_flow_answers_stable_across_hash_seeds():
     first = _run("0")
     second = _run("424242")
+    assert first["cut"]
+    assert len(first["paths"]) > 1
     assert first == second
